@@ -1,10 +1,13 @@
 """Gradient-boosted regression trees for short-horizon position prediction.
 
-Self-contained implementation: squared-error loss, exact greedy splits on
-midpoint thresholds, mean-residual leaves, shrinkage, optional row/feature
-subsampling, and early stopping on a held-back chronological validation
-slice. Two independent models (one per coordinate) share one feature layout:
-the last h positions plus the finite-difference velocity at the newest lag.
+Self-contained implementation: squared-error loss, histogram split finding
+(each feature quantile-binned once into at most MAX_BINS bins, per-node
+residual histograms with sibling subtraction, as in XGBoost's `hist` method
+and LightGBM), midpoint thresholds between neighbouring training values,
+mean-residual leaves, shrinkage, optional row/feature subsampling, and early
+stopping on a held-back chronological validation slice. Two independent
+models (one per coordinate) share one feature layout: the last h positions
+plus the finite-difference velocity at the newest lag.
 """
 
 from __future__ import annotations
@@ -19,6 +22,9 @@ from .ioutil import atomic_write_json, atomic_write_text, load_json
 from .mobility import Trace
 
 MIN_SPLIT_GAIN = 1e-12
+# On stock seeds 1-3, 256 bins gave ~6% higher held-out RMSE than 1024, and
+# 4096 bins no lower RMSE at over twice the training time.
+MAX_BINS = 1024
 
 
 @dataclass(frozen=True)
@@ -196,17 +202,69 @@ def build_dataset(trace: Trace, h: int = 5, horizon: int = 1,
         feature_names=window.feature_names())
 
 
-class _TreeBuilder:
-    """Level-wise exact greedy splitter.
+def _midpoint(lo: float, hi: float) -> float:
+    """Split threshold between two adjacent training values lo < hi.
 
-    Feature columns are argsorted once at the root; child nodes inherit
-    order-preserving partitions of those index arrays, so per level the work
-    stays O(rows x features) regardless of depth.
+    The midpoint of two neighbouring floats can round up onto hi; lo is then
+    the threshold, so `x <= threshold` always separates the two values.
+    """
+    mid = 0.5 * (lo + hi)
+    return mid if mid < hi else lo
+
+
+@dataclass(frozen=True)
+class _Bins:
+    """Each feature column quantile-binned once per training run.
+
+    `codes[f, i]` is row i's bin for feature f (a contiguous row per
+    feature, so per-node gathers stay local). Bin edges follow the sorted
+    distinct values: a column with at most MAX_BINS distinct values gets one
+    bin per value, otherwise each bin starts where a new 1/MAX_BINS quantile
+    of the rows begins. `low`/`high` hold each bin's smallest and largest
+    training value (NaN past a feature's last bin).
+    """
+    codes: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
+
+    @classmethod
+    def from_matrix(cls, X: np.ndarray) -> "_Bins":
+        n, n_features = X.shape
+        codes = np.empty((n_features, n), dtype=np.uint16)
+        low = np.full((n_features, MAX_BINS), np.nan)
+        high = np.full((n_features, MAX_BINS), np.nan)
+        for f in range(n_features):
+            values, inverse, counts = np.unique(
+                X[:, f], return_inverse=True, return_counts=True)
+            if values.size <= MAX_BINS:
+                value_bin = np.arange(values.size)
+            else:
+                rank = np.cumsum(counts) - counts
+                quantile = rank * MAX_BINS // n
+                value_bin = np.cumsum(np.r_[False, quantile[1:] != quantile[:-1]])
+            codes[f] = value_bin[inverse]
+            first = np.flatnonzero(np.r_[True, value_bin[1:] != value_bin[:-1]])
+            last = np.r_[first[1:] - 1, values.size - 1]
+            low[f, :first.size] = values[first]
+            high[f, :first.size] = values[last]
+        return cls(codes, low, high)
+
+
+class _TreeBuilder:
+    """Level-wise histogram splitter.
+
+    A node's histograms hold, per feature and bin, the residual sum and the
+    row count. Only the smaller child of a split is histogrammed from its
+    rows; the larger one is the parent minus the smaller (sibling
+    subtraction). Splits fall between the node's non-empty bins, with the
+    threshold midway between the neighbouring training values, and rows are
+    partitioned by the same `x <= threshold` test prediction uses.
     """
 
-    def __init__(self, X: np.ndarray, residual: np.ndarray, params: BoostParams,
-                 feature_ids: np.ndarray, row_ids: np.ndarray):
+    def __init__(self, X: np.ndarray, bins: _Bins, residual: np.ndarray,
+                 params: BoostParams, feature_ids: np.ndarray, row_ids: np.ndarray):
         self.X = X
+        self.bins = bins
         self.residual = residual
         self.params = params
         self.feature_ids = feature_ids
@@ -226,65 +284,74 @@ class _TreeBuilder:
         self.nodes_value.append(0.0)
         return len(self.nodes_feature) - 1
 
-    def _best_split(self, order: list[np.ndarray]):
-        msl = self.params.min_samples_leaf
-        n = order[0].size
-        if n < 2 * msl:
-            return None
-        best_gain = MIN_SPLIT_GAIN
-        best = None
-        total = float(self.residual[order[0]].sum())
-        base = total * total / n
-        n_left = np.arange(1, n)
-        n_right = n - n_left
-        for fi, f in enumerate(self.feature_ids):
-            idx = order[fi]
-            v = self.X[idx, f]
-            g = self.residual[idx]
-            cum = np.cumsum(g)[:-1]
-            gains = cum * cum / n_left + (total - cum) ** 2 / n_right - base
-            valid = v[1:] > v[:-1]
-            if msl > 1:
-                valid = valid & (n_left >= msl) & (n_right >= msl)
-            gains = np.where(valid, gains, -np.inf)
-            pos = int(np.argmax(gains))
-            if gains[pos] > best_gain:
-                best_gain = float(gains[pos])
-                best = (fi, f, 0.5 * (v[pos] + v[pos + 1]))
-        return best
+    def _splittable(self, rows: np.ndarray, depth: int) -> bool:
+        return (depth < self.params.max_depth
+                and rows.size >= 2 * self.params.min_samples_leaf)
 
-    def build(self, side_buf: np.ndarray) -> int:
+    def _histograms(self, rows: np.ndarray):
+        sums = np.empty((self.feature_ids.size, MAX_BINS))
+        counts = np.empty((self.feature_ids.size, MAX_BINS), dtype=np.int64)
+        g = self.residual[rows]
+        for i, f in enumerate(self.feature_ids):
+            codes = self.bins.codes[f, rows]
+            sums[i] = np.bincount(codes, weights=g, minlength=MAX_BINS)
+            counts[i] = np.bincount(codes, minlength=MAX_BINS)
+        return sums, counts
+
+    def _best_split(self, sums: np.ndarray, counts: np.ndarray, n: int):
+        msl = self.params.min_samples_leaf
+        cum = np.cumsum(sums, axis=1)
+        n_left = np.cumsum(counts, axis=1)
+        n_right = n - n_left
+        total = cum[:, -1:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gains = cum * cum / n_left + (total - cum) ** 2 / n_right - total * total / n
+        # A split after an empty bin repeats the previous partition (its sums
+        # differing only by subtraction noise), so only bins with rows count.
+        valid = (counts > 0) & (n_left >= msl) & (n_right >= msl)
+        gains = np.where(valid, gains, -np.inf)
+        pos = int(np.argmax(gains))
+        if not gains.flat[pos] > MIN_SPLIT_GAIN:
+            return None
+        i, b = divmod(pos, MAX_BINS)
+        f = int(self.feature_ids[i])
+        nxt = b + 1 + int(np.flatnonzero(counts[i, b + 1:])[0])
+        return f, _midpoint(self.bins.high[f, b], self.bins.low[f, nxt])
+
+    def build(self) -> int:
         root = self._new_node()
-        frontier = [(root, 0, [self.row_ids[np.argsort(self.X[self.row_ids, f],
-                                                       kind="stable")]
-                               for f in self.feature_ids])]
+        rows = self.row_ids
+        hist = self._histograms(rows) if self._splittable(rows, 0) else None
+        frontier = [(root, 0, rows, hist)]
         while frontier:
             next_frontier = []
-            for node, depth, order in frontier:
-                rows = order[0]
-                choice = None
-                if depth < self.params.max_depth:
-                    choice = self._best_split(order)
+            for node, depth, rows, hist in frontier:
+                choice = None if hist is None else self._best_split(*hist, rows.size)
                 if choice is None:
-                    value = float(self.residual[rows].mean())
-                    self.nodes_value[node] = value
+                    self.nodes_value[node] = float(self.residual[rows].mean())
                     self.leaf_rows.append((node, rows))
                     continue
-                _, f, thr = choice
-                self.nodes_feature[node] = int(f)
-                self.nodes_threshold[node] = float(thr)
-                side_buf[rows] = self.X[rows, f] <= thr
-                left_order, right_order = [], []
-                for arr in order:
-                    mask = side_buf[arr]
-                    left_order.append(arr[mask])
-                    right_order.append(arr[~mask])
-                left = self._new_node()
-                right = self._new_node()
-                self.nodes_left[node] = left
-                self.nodes_right[node] = right
-                next_frontier.append((left, depth + 1, left_order))
-                next_frontier.append((right, depth + 1, right_order))
+                f, thr = choice
+                self.nodes_feature[node] = f
+                self.nodes_threshold[node] = thr
+                go_left = self.X[rows, f] <= thr
+                children = [rows[go_left], rows[~go_left]]
+                split = [self._splittable(c, depth + 1) for c in children]
+                hists = [None, None]
+                if any(split):
+                    small = int(children[1].size < children[0].size)
+                    small_hist = self._histograms(children[small])
+                    if split[small]:
+                        hists[small] = small_hist
+                    if split[1 - small]:
+                        sums, counts = hist
+                        sums -= small_hist[0]
+                        counts -= small_hist[1]
+                        hists[1 - small] = hist
+                left, right = self._new_node(), self._new_node()
+                self.nodes_left[node], self.nodes_right[node] = left, right
+                next_frontier.append((left, depth + 1, children[0], hists[0]))
+                next_frontier.append((right, depth + 1, children[1], hists[1]))
             frontier = next_frontier
         return root
 
@@ -312,6 +379,8 @@ def train_matrix(X: np.ndarray, y: np.ndarray, params: BoostParams,
         raise TrainingError("empty training set")
     if n < 2:
         raise TrainingError(f"need >= 2 training rows, got {n}")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise TrainingError("training features and targets must be finite")
     if feature_schema is None:
         feature_schema = [f"f{j}" for j in range(n_features)]
     if len(feature_schema) != n_features:
@@ -332,7 +401,7 @@ def train_matrix(X: np.ndarray, y: np.ndarray, params: BoostParams,
     best_round = -1
     stall = 0
 
-    side_buf = np.empty(n, dtype=bool)
+    bins = _Bins.from_matrix(X)
     all_rows = np.arange(n)
     all_feats = np.arange(n_features)
     for _ in range(params.num_rounds):
@@ -348,8 +417,8 @@ def train_matrix(X: np.ndarray, y: np.ndarray, params: BoostParams,
             feats = all_feats
 
         residual = y - pred
-        builder = _TreeBuilder(X, residual, params, feats, rows)
-        builder.build(side_buf)
+        builder = _TreeBuilder(X, bins, residual, params, feats, rows)
+        builder.build()
         tree = builder.to_tree()
         lr = params.learning_rate
         if params.subsample < 1:
@@ -476,13 +545,12 @@ def predict_positions(model_x: BoostedModel, model_y: BoostedModel,
     dt = trace.times[1] - trace.times[0]
 
     anchors = np.array([t])
-    out: dict[int, tuple[float, float]] = {}
-    for sid in trace.station_ids:
-        row = _feature_rows(trace.positions[sid], anchors, h, dt)
-        px = predict(model_x, row[0])
-        py = predict(model_y, row[0])
-        out[sid] = (min(max(px, 0.0), bounds[0]), min(max(py, 0.0), bounds[1]))
-    return out
+    features = np.vstack([_feature_rows(trace.positions[sid], anchors, h, dt)
+                          for sid in trace.station_ids])
+    px = predict(model_x, features).tolist()
+    py = predict(model_y, features).tolist()
+    return {sid: (min(max(x, 0.0), bounds[0]), min(max(y, 0.0), bounds[1]))
+            for sid, x, y in zip(trace.station_ids, px, py)}
 
 
 # --- persistence ----------------------------------------------------------
@@ -562,14 +630,19 @@ def read_predictions(path: str) -> dict[int, tuple[float, float]]:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "station_id,pred_x,pred_y":
-            raise PredictionError(f"unexpected predictions header: {header!r}")
-        for raw in fh:
+            raise PredictionError(f"{path}: unexpected predictions header: {header!r}")
+        for lineno, raw in enumerate(fh, start=2):
             raw = raw.strip()
             if not raw:
                 continue
             try:
                 sid, x, y = raw.split(",")
-                out[int(sid)] = (float(x), float(y))
+                sid, x, y = int(sid), float(x), float(y)
             except ValueError as exc:
-                raise PredictionError(f"malformed predictions row {raw!r}") from exc
+                raise PredictionError(
+                    f"{path}:{lineno}: malformed predictions row {raw!r}") from exc
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise PredictionError(
+                    f"{path}:{lineno}: non-finite prediction in row {raw!r}")
+            out[sid] = (x, y)
     return out

@@ -196,6 +196,21 @@ def test_missing_artifact_exits_2(chain, tmp_path, capsys):
     assert "missing trace artifact" in capsys.readouterr().err
 
 
+def test_heads_rejects_nan_predictions(chain, tmp_path, capsys):
+    # All-NaN scores used to elect each cluster's first station silently.
+    src = (chain / "out" / "predictions.csv").read_text().splitlines()
+    sid = src[1].split(",")[0]
+    bad = tmp_path / "predictions.csv"
+    bad.write_text("\n".join([src[0], f"{sid},nan,nan", *src[2:]]) + "\n")
+    code = cli.main(["heads", "--config", str(chain / "cfg.ini"),
+                     "--out", str(tmp_path / "h"),
+                     "--clusters", str(chain / "out" / "clusters.json"),
+                     "--predictions", str(bad)])
+    assert code == 2
+    assert f"{bad}:2: non-finite prediction" in capsys.readouterr().err
+    assert not (tmp_path / "h" / "heads.json").exists()
+
+
 def test_run_demands_clusters_when_needed(chain, tmp_path, capsys):
     c = str(chain / "cfg.ini")
     o = str(chain / "out")

@@ -19,7 +19,13 @@ from fanetsim import (
     train,
     train_matrix,
 )
-from fanetsim.predictor import read_predictions, write_predictions
+from fanetsim.predictor import (
+    MAX_BINS,
+    MIN_SPLIT_GAIN,
+    _feature_rows,
+    read_predictions,
+    write_predictions,
+)
 
 
 def linear_trace(n_samples=20, slope=(1.0, 2.0)) -> Trace:
@@ -37,6 +43,47 @@ def walk_tree(tree, row):
         else:
             node = tree.right[node]
     return tree.value[node]
+
+
+def exact_greedy_tree(X, g, max_depth, min_samples_leaf):
+    """Reference splitter: level-wise exact greedy search over every pair of
+    neighbouring distinct values, thresholds at their midpoint. Returns the
+    flat (feature, threshold, left, right, value) node lists."""
+    feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [0.0]
+    frontier = [(0, 0, np.arange(len(g)))]
+    while frontier:
+        next_frontier = []
+        for node, depth, rows in frontier:
+            n, best, best_gain = rows.size, None, MIN_SPLIT_GAIN
+            if depth < max_depth and n >= 2 * min_samples_leaf:
+                total = g[rows].sum()
+                n_left = np.arange(1, n)
+                n_right = n - n_left
+                for f in range(X.shape[1]):
+                    order = rows[np.argsort(X[rows, f], kind="stable")]
+                    v = X[order, f]
+                    cum = np.cumsum(g[order])[:-1]
+                    gains = (cum * cum / n_left + (total - cum) ** 2 / n_right
+                             - total * total / n)
+                    ok = ((v[1:] > v[:-1]) & (n_left >= min_samples_leaf)
+                          & (n_right >= min_samples_leaf))
+                    gains = np.where(ok, gains, -np.inf)
+                    pos = int(np.argmax(gains))
+                    if gains[pos] > best_gain:
+                        best_gain, best = gains[pos], (f, 0.5 * (v[pos] + v[pos + 1]))
+            if best is None:
+                value[node] = float(g[rows].mean())
+                continue
+            feature[node], threshold[node] = best
+            go_left = X[rows, best[0]] <= best[1]
+            for side, child_rows in ((left, rows[go_left]), (right, rows[~go_left])):
+                side[node] = len(feature)
+                for arr, init in ((feature, -1), (threshold, 0.0), (left, -1),
+                                  (right, -1), (value, 0.0)):
+                    arr.append(init)
+                next_frontier.append((side[node], depth + 1, child_rows))
+        frontier = next_frontier
+    return feature, threshold, left, right, value
 
 
 def test_feature_window_names():
@@ -249,3 +296,101 @@ def test_predictions_roundtrip(tmp_path):
     path = tmp_path / "predictions.csv"
     write_predictions(preds, str(path))
     assert read_predictions(str(path)) == preds
+
+
+def test_histogram_tree_equals_exact_greedy_reference():
+    # Every feature has at most MAX_BINS distinct values, so each value gets
+    # its own bin; integer targets with an integer mean keep every residual
+    # sum exact, so both splitters must agree exactly.
+    rng = np.random.default_rng(11)
+    n = 3000
+    X = np.column_stack([
+        rng.integers(0, MAX_BINS, n),                 # up to MAX_BINS values
+        rng.choice(np.linspace(-3.0, 3.0, 37), n),    # non-integer values
+        rng.integers(0, 4, n),                        # heavy ties
+        rng.integers(-500, 500, n) * 0.25,
+    ]).astype(float)
+    assert all(np.unique(col).size <= MAX_BINS for col in X.T)
+    y = (3 * (X[:, 0] > 300) + 2 * np.sign(X[:, 1]) + X[:, 2]
+         + rng.integers(-6, 7, n)).astype(float)
+    y[0] -= y.sum() % n
+    assert y.sum() % n == 0
+    for max_depth, msl in ((1, 1), (4, 3), (7, 25)):
+        params = BoostParams(num_rounds=1, max_depth=max_depth,
+                             min_samples_leaf=msl)
+        tree = train_matrix(X, y, params).trees[0]
+        feature, threshold, left, right, value = exact_greedy_tree(
+            X, y - y.mean(), max_depth, msl)
+        assert len(feature) > 1
+        np.testing.assert_array_equal(tree.feature, feature)
+        np.testing.assert_array_equal(tree.threshold, threshold)
+        np.testing.assert_array_equal(tree.left, left)
+        np.testing.assert_array_equal(tree.right, right)
+        np.testing.assert_allclose(tree.value, value, rtol=0, atol=1e-12)
+
+
+def test_train_rmse_matches_model_predictions():
+    # Column 1 holds adjacent floats: the midpoint of 1+2^-52 and 1+2^-51
+    # rounds onto 1+2^-51, so a threshold there must fall back to the lower
+    # value for `x <= threshold` to separate them.
+    rng = np.random.default_rng(5)
+    n = 4000
+    lo = np.nextafter(1.0, 2.0)
+    hi = np.nextafter(lo, 2.0)
+    assert 0.5 * (lo + hi) == hi
+    adjacent = rng.choice([1.0, lo, hi, np.nextafter(hi, 2.0)], n)
+    X = np.column_stack([rng.normal(size=n), adjacent,
+                         rng.uniform(0, 100, n)])  # > MAX_BINS distinct values
+    y = 5.0 * (adjacent >= hi) + np.sin(X[:, 2] / 7) + 0.1 * rng.normal(size=n)
+    Xv, yv = X[:500], y[:500] + 0.1
+    model = train_matrix(X, y, BoostParams(num_rounds=30, max_depth=4),
+                         eval_set=(Xv, yv))
+    assert any(np.any(t.feature == 1) for t in model.trees)
+    for t in model.trees:
+        assert np.isfinite(t.value).all()  # no empty child
+        split = t.feature == 1
+        assert np.all(np.isin(t.threshold[split], adjacent))
+    recomputed = float(np.sqrt(np.mean((y - model.predict(X)) ** 2)))
+    np.testing.assert_allclose(model.train_rmse[-1], recomputed, rtol=1e-12,
+                               equal_nan=False)
+
+
+def test_non_finite_training_input_rejected():
+    X = np.zeros((4, 2))
+    X[2, 1] = np.nan
+    with pytest.raises(TrainingError, match="finite"):
+        train_matrix(X, np.arange(4.0), BoostParams(num_rounds=1))
+    with pytest.raises(TrainingError, match="finite"):
+        train_matrix(np.zeros((4, 2)), np.array([0.0, np.inf, 1.0, 2.0]),
+                     BoostParams(num_rounds=1))
+
+
+def test_predict_positions_batch_equals_per_row_path(tmp_path):
+    trace = simulate_random_waypoint(
+        ArenaConfig(num_stations=7, duration=120.0, seed=3))
+    ds = build_dataset(trace, h=3)
+    mx = train(ds, BoostParams(num_rounds=15), target="x")
+    my = train(ds, BoostParams(num_rounds=15), target="y")
+    at = float(trace.times[-1])
+    bounds = (trace.config.width, trace.config.height)
+    batched = predict_positions(mx, my, trace, at)
+
+    t = trace.num_samples - 1 - ds.window.horizon
+    dt = trace.times[1] - trace.times[0]
+    per_row = {}
+    for sid in trace.station_ids:
+        row = _feature_rows(trace.positions[sid], np.array([t]), 3, dt)[0]
+        px, py = predict(mx, row), predict(my, row)
+        per_row[sid] = (min(max(px, 0.0), bounds[0]), min(max(py, 0.0), bounds[1]))
+    assert batched == per_row
+    write_predictions(batched, str(tmp_path / "a.csv"))
+    write_predictions(per_row, str(tmp_path / "b.csv"))
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_read_predictions_rejects_non_finite(tmp_path, bad):
+    path = tmp_path / "predictions.csv"
+    path.write_text(f"station_id,pred_x,pred_y\n0,1.0,2.0\n1,3.0,{bad}\n")
+    with pytest.raises(PredictionError, match=r"predictions\.csv:3: non-finite"):
+        read_predictions(str(path))
