@@ -24,9 +24,9 @@ from .metrics import (Comparison, RunReport, StationStats, compare,
                       write_report)
 from .mobility import (ArenaConfig, Trace, TraceSample, quantize, read_trace,
                        simulate_random_waypoint, write_trace)
-from .netsim import (DeliveryRecord, Hop, SimConfig, SimEvent, Topology,
-                     TopologyConfig, build_topology, conservation_check,
-                     read_records, run_sim, write_records)
+from .netsim import (DeliveryRecord, Hop, SimConfig, Topology, TopologyConfig,
+                     build_topology, conservation_check, read_records,
+                     run_sim, write_records)
 from .predictor import (BoostedModel, BoostParams, Dataset, FeatureWindow,
                         RegressionTree, build_dataset, evaluate_rmse,
                         load_model, predict, predict_positions,
@@ -45,7 +45,7 @@ __all__ = [
     "FanetSimError", "FeatureWindow", "HeadSelection", "Hop", "KDTree",
     "MetricsError", "Packet", "PairwiseTables", "PipelineConfig",
     "PredictionError", "RegressionTree", "RunReport", "SelectionError",
-    "SimConfig", "SimEvent", "SimulationError", "StationRadio",
+    "SimConfig", "SimulationError", "StationRadio",
     "StationStats", "Topology", "TopologyConfig", "TopologyError", "Trace",
     "TraceParseError", "TraceSample", "TrafficParams", "TrainingError",
     "WeightSweep", "bench_ch", "build_dataset", "build_pairwise",

@@ -1,4 +1,4 @@
-"""Discrete-event delivery simulation over four scenario topologies.
+"""Delivery simulation over four scenario topologies.
 
 Stations upload packets to a server either directly or through their cluster
 head. Every hop is served by the receiving side's channel: one shared air
@@ -8,13 +8,43 @@ channel); decentralized runs give every cluster its own server. A channel
 transmits one packet at a time; others wait in a bounded FIFO queue and are
 dropped on overflow. Hop latency is queue wait + serialization + propagation
 + a fixed processing delay.
+
+Engine. Every path is fixed and a hop only feeds the next hop's channel, so
+the channels form a DAG (cluster channel -> backbone). run_sim visits the
+channels in topological order and makes one pass over each: it sorts the
+channel's arrivals, keeps the service ends of the packets it accepted in a
+FIFO, drops an arrival when that FIFO already holds the packet in service
+plus queue_capacity waiting ones, and starts service at the arrival when the
+channel is idle or else at the service end of the packet before it
+(end = start + size * 8.0 / bitrate). A service end at or before the horizon
+forwards the packet to the next channel, or delivers it, at
+(end + distance / propagation_speed) + processing_delay.
+
+Tie rule. Simultaneous events are resolved as in a discrete-event engine
+that pops one global heap by (time, push sequence), starting from every
+packet's creation-time arrival pushed in workload order. That order equals
+comparing the event keys (time, key of the event that scheduled it,
+sub-order), where creation-time arrivals have no parent and sort before every
+other event at the same time, in workload order; an arrival that finds the
+channel idle schedules its service end (sub-order 0); a service end
+schedules the packet's next arrival or its delivery (sub-order 0) and then
+the next queued packet's service end (sub-order 1). Events are stored in
+flat columns (time, parent, sub-order), and the parent chain is only walked
+for exactly equal times.
+
+Horizon. Events at t <= horizon happen. A packet whose arrival, service end
+or delivery falls later is dropped with reason "horizon"; its path runs up
+to the sender of the hop it was on, so a late delivery keeps all but the
+server.
 """
 
 from __future__ import annotations
 
-import heapq
+import functools
+import itertools
 import math
-from collections import deque
+import operator
+from array import array
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError, SimulationError, TopologyError
@@ -22,6 +52,7 @@ from .ioutil import atomic_write_text
 
 MODES = ("centralized", "decentralized")
 LIGHT_SPEED_M_S = 3.0e8
+_HORIZON, _QUEUE, _DELIVERED = 0, 1, 2  # packet outcomes in run_sim
 
 
 @dataclass(frozen=True)
@@ -115,19 +146,7 @@ class Topology:
     channels: dict[str, float]
 
 
-@dataclass(frozen=True)
-class SimEvent:
-    time: float
-    sequence: int
-    kind: str
-    packet: int
-    node: str
-
-    def __lt__(self, other: "SimEvent") -> bool:
-        return (self.time, self.sequence) < (other.time, other.sequence)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeliveryRecord:
     packet_id: int
     src: int
@@ -167,6 +186,11 @@ def build_topology(config: TopologyConfig, positions: dict[int, tuple[float, flo
     if not positions:
         raise TopologyError("no station positions")
     stations = {int(s): (float(p[0]), float(p[1])) for s, p in positions.items()}
+    for sid, (x, y) in stations.items():
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise TopologyError(f"station {sid} has a non-finite position ({x!r}, {y!r})")
+    if not (math.isfinite(arena[0]) and math.isfinite(arena[1])):
+        raise TopologyError(f"arena has a non-finite size {tuple(arena)!r}")
 
     if clusters is not None and hasattr(clusters, "members"):
         clusters = clusters.members()
@@ -249,13 +273,26 @@ def build_topology(config: TopologyConfig, positions: dict[int, tuple[float, flo
                     paths=paths, channels=channels)
 
 
-class _ChannelState:
-    __slots__ = ("bitrate", "busy", "queue")
-
-    def __init__(self, bitrate: float):
-        self.bitrate = bitrate
-        self.busy = False
-        self.queue: deque[int] = deque()
+def _channel_order(topology: Topology) -> list[str]:
+    """Channels so that each hop's channel comes before the next hop's."""
+    feeds: dict[str, set[str]] = {name: set() for name in topology.channels}
+    for path in topology.paths.values():
+        for hop, nxt in zip(path, path[1:]):
+            feeds[hop.channel].add(nxt.channel)
+    pending = {name: 0 for name in feeds}
+    for targets in feeds.values():
+        for name in targets:
+            pending[name] += 1
+    order = [name for name, count in pending.items() if count == 0]
+    for name in order:
+        for nxt in sorted(feeds[name]):
+            pending[nxt] -= 1
+            if pending[nxt] == 0:
+                order.append(nxt)
+    if len(order) != len(feeds):
+        raise SimulationError(
+            f"paths run through channels {sorted(set(feeds) - set(order))} in a cycle")
+    return order
 
 
 def run_sim(topology: Topology, workload, horizon: float | None = None,
@@ -267,86 +304,161 @@ def run_sim(topology: Topology, workload, horizon: float | None = None,
     drops whatever is still in flight, keeping conservation intact.
     """
     del seed
-    channels = {name: _ChannelState(rate) for name, rate in topology.channels.items()}
+    cfg = topology.config
+    order = _channel_order(topology)
+    inbox: dict[str, list[int]] = {name: [] for name in order}
+    # Per source, one leg per hop: (the hop channel's inbox, propagation
+    # time, the next hop channel's inbox or None, the path walked before the
+    # hop, the path walked after it).
+    routes = {}
+    for src, path in topology.paths.items():
+        walked = (path[0].src,) + tuple(hop.dst for hop in path)
+        routes[src] = tuple(
+            (inbox[hop.channel], hop.distance / cfg.propagation_speed,
+             inbox[path[k + 1].channel] if k + 1 < len(path) else None,
+             walked[:k + 1], walked[:k + 2])
+            for k, hop in enumerate(path))
+
     packets = list(workload)
-    hops: list[tuple[Hop, ...]] = []
-    for pkt in packets:
-        if pkt.src not in topology.paths:
+    route = []  # per packet, its source's legs
+    for i, pkt in enumerate(packets):
+        legs = routes.get(pkt.src)
+        if legs is None:
             raise SimulationError(f"packet {pkt.packet_id}: unknown source {pkt.src}")
         if pkt.size <= 0:
             raise SimulationError(f"packet {pkt.packet_id}: non-positive size")
-        hops.append(topology.paths[pkt.src])
+        if not math.isfinite(pkt.creation_time):
+            raise SimulationError(
+                f"packet {pkt.packet_id}: non-finite creation_time {pkt.creation_time!r}")
+        route.append(legs)
+        legs[0][0].append(i)
 
-    heap: list[SimEvent] = []
-    seq = 0
-    hop_idx = [0] * len(packets)
-    resolved: list[DeliveryRecord | None] = [None] * len(packets)
+    outcome, hop_idx, delivered_at = _sweep(
+        topology, order, inbox, packets, route,
+        math.inf if horizon is None else horizon)
 
-    def push(time: float, kind: str, packet: int, node: str):
-        nonlocal seq
-        heapq.heappush(heap, SimEvent(time, seq, kind, packet, node))
-        seq += 1
-
-    def start_service(ch: _ChannelState, name: str, packet: int, now: float):
-        ch.busy = True
-        push(now + packets[packet].size * 8.0 / ch.bitrate, "service-end", packet, name)
-
+    records = []
     for i, pkt in enumerate(packets):
-        push(pkt.creation_time, "arrival", i, hops[i][0].channel)
+        leg = route[i][hop_idx[i]]
+        if outcome[i] == _DELIVERED:
+            records.append(DeliveryRecord(
+                pkt.packet_id, pkt.src, pkt.size, leg[4], pkt.creation_time,
+                delivered_at[i], False))
+        else:
+            records.append(DeliveryRecord(
+                pkt.packet_id, pkt.src, pkt.size, leg[3], pkt.creation_time,
+                None, True, "queue" if outcome[i] == _QUEUE else "horizon"))
+    records.sort(key=operator.attrgetter("packet_id"))
+    return records
 
-    while heap:
-        if horizon is not None and heap[0].time > horizon:
-            break
-        ev = heapq.heappop(heap)
-        i = ev.packet
-        if ev.kind == "arrival":
-            ch = channels[ev.node]
-            if ch.busy:
-                if len(ch.queue) >= topology.config.queue_capacity:
-                    pkt = packets[i]
-                    walked = (hops[i][0].src,) + tuple(h.dst for h in hops[i][:hop_idx[i]])
-                    resolved[i] = DeliveryRecord(
-                        packet_id=pkt.packet_id, src=pkt.src, size=pkt.size,
-                        path=walked, send_time=pkt.creation_time,
-                        delivery_time=None, dropped=True, drop_reason="queue")
+
+def _sweep(topology: Topology, order: list[str], inbox: dict[str, list[int]],
+           packets: list, route: list, limit: float):
+    """One FIFO pass per channel in ``order``; each channel's inbox holds the
+    indices of the packets arriving there and is emptied as it is served.
+
+    Returns per packet its outcome, the index of the hop it ended on and its
+    delivery time (valid when delivered).
+    """
+    cfg = topology.config
+    n = len(packets)
+    bits = array("d", [pkt.size * 8.0 for pkt in packets])
+    # Event columns (see the module docstring): event i < n is packet i's
+    # creation-time arrival, later ids are service ends and forwarded arrivals.
+    ev_time = array("d", [pkt.creation_time for pkt in packets])
+    ev_parent = array("q", [-1]) * n
+    ev_sub = array("q", range(n))
+
+    def precedes(a: int, b: int) -> bool:
+        """Whether event a pops before event b."""
+        while True:
+            ta, tb = ev_time[a], ev_time[b]
+            if ta != tb:
+                return ta < tb
+            pa, pb = ev_parent[a], ev_parent[b]
+            if pa == pb:
+                return ev_sub[a] < ev_sub[b]
+            if pa < 0 or pb < 0:
+                return pa < 0
+            a, b = pa, pb
+
+    at = array("d", ev_time)        # time of packet i's arrival at its current channel
+    arrival = array("q", range(n))  # event id of that arrival
+    hop_idx = [0] * n
+    outcome = bytearray(n)          # _HORIZON, _QUEUE or _DELIVERED
+    delivered_at = array("d", bytes(8 * n))
+    cap = cfg.queue_capacity
+    proc = cfg.processing_delay
+    push_time, push_parent, push_sub = ev_time.append, ev_parent.append, ev_sub.append
+    for name in order:
+        waiting = inbox[name]
+        waiting.sort(key=at.__getitem__)
+        # any two neighbours at the same time? (streamed, no list of times)
+        if any(map(operator.eq, map(at.__getitem__, waiting),
+                   map(at.__getitem__, itertools.islice(waiting, 1, None)))):
+            _order_ties(waiting, at, arrival, precedes)
+        rate = topology.channels[name]
+        ends = array("d")    # service ends of the packets accepted here, FIFO order
+        end_ev = array("q")  # and their event ids
+        head = accepted = 0  # ends[head:accepted] are in service or queued
+        for i in waiting:
+            t = at[i]
+            if t > limit:
+                continue
+            a = arrival[i]
+            while head < accepted:
+                e = ends[head]
+                if e < t or (e == t and precedes(end_ev[head], a)):
+                    head += 1
                 else:
-                    ch.queue.append(i)
+                    break
+            if head < accepted:
+                if accepted - head > cap:
+                    outcome[i] = _QUEUE
+                    continue
+                start, parent, sub = ends[-1], end_ev[-1], 1
             else:
-                start_service(ch, ev.node, i, ev.time)
-        elif ev.kind == "service-end":
-            ch = channels[ev.node]
-            hop = hops[i][hop_idx[i]]
-            arrive = (ev.time + hop.distance / topology.config.propagation_speed
-                      + topology.config.processing_delay)
-            if hop_idx[i] + 1 == len(hops[i]):
-                push(arrive, "delivery", i, hop.dst)
+                start, parent, sub = t, a, 0
+            end = start + bits[i] / rate
+            se = len(ev_time)
+            push_time(end)
+            push_parent(parent)
+            push_sub(sub)
+            ends.append(end)
+            end_ev.append(se)
+            accepted += 1
+            if end > limit:
+                continue
+            leg = route[i][hop_idx[i]]
+            nxt = end + leg[1] + proc
+            if leg[2] is None:
+                if nxt <= limit:
+                    outcome[i] = _DELIVERED
+                    delivered_at[i] = nxt
             else:
                 hop_idx[i] += 1
-                push(arrive, "arrival", i, hops[i][hop_idx[i]].channel)
-            if ch.queue:
-                start_service(ch, ev.node, ch.queue.popleft(), ev.time)
-            else:
-                ch.busy = False
-        else:
-            pkt = packets[i]
-            full_path = (hops[i][0].src,) + tuple(h.dst for h in hops[i])
-            resolved[i] = DeliveryRecord(
-                packet_id=pkt.packet_id, src=pkt.src, size=pkt.size,
-                path=full_path, send_time=pkt.creation_time,
-                delivery_time=ev.time, dropped=False)
+                at[i] = nxt
+                arrival[i] = se + 1
+                push_time(nxt)
+                push_parent(se)
+                push_sub(0)
+                leg[2].append(i)
+        waiting.clear()
+    return outcome, hop_idx, delivered_at
 
-    for i, rec in enumerate(resolved):
-        if rec is None:
-            pkt = packets[i]
-            walked = (hops[i][0].src,) + tuple(h.dst for h in hops[i][:hop_idx[i]])
-            resolved[i] = DeliveryRecord(
-                packet_id=pkt.packet_id, src=pkt.src, size=pkt.size,
-                path=walked, send_time=pkt.creation_time,
-                delivery_time=None, dropped=True, drop_reason="horizon")
 
-    records = [rec for rec in resolved if rec is not None]
-    records.sort(key=lambda r: r.packet_id)
-    return records
+def _order_ties(waiting: list[int], at, arrival, precedes) -> None:
+    """Put each run of equal arrival times into pop order, in place."""
+    key = functools.cmp_to_key(
+        lambda i, j: -1 if precedes(arrival[i], arrival[j]) else 1)
+    lo = 0
+    while lo < len(waiting):
+        hi = lo + 1
+        while hi < len(waiting) and at[waiting[hi]] == at[waiting[lo]]:
+            hi += 1
+        if hi - lo > 1:
+            waiting[lo:hi] = sorted(waiting[lo:hi], key=key)
+        lo = hi
 
 
 def conservation_check(records: list[DeliveryRecord], workload) -> dict:
@@ -372,7 +484,8 @@ def conservation_check(records: list[DeliveryRecord], workload) -> dict:
             by_reason[reason] = by_reason.get(reason, 0) + 1
         else:
             delivered += 1
-            if r.delivery_time is None or r.delivery_time < r.send_time:
+            if (r.delivery_time is None or not math.isfinite(r.delivery_time)
+                    or r.delivery_time < r.send_time):
                 raise SimulationError(f"packet {r.packet_id}: bad delivery time")
             if len(r.path) < 2 or r.path[0] != str(r.src) or not r.path[-1].startswith("server"):
                 raise SimulationError(f"packet {r.packet_id}: bad path {r.path}")

@@ -7,6 +7,7 @@ station consumes an independent RNG substream keyed by (seed, station_id).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,11 +117,18 @@ def read_packets(path: str) -> list[Packet]:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "packet_id,src,size,creation_time":
-            raise ConfigError(f"unexpected workload header: {header!r}")
-        for raw in fh:
+            raise ConfigError(f"{path}: unexpected workload header: {header!r}")
+        for lineno, raw in enumerate(fh, start=2):
             raw = raw.strip()
             if not raw:
                 continue
-            pid, src, size, t = raw.split(",")
-            packets.append(Packet(int(pid), int(src), int(size), float(t)))
+            try:
+                pid, src, size, t = raw.split(",")
+                pkt = Packet(int(pid), int(src), int(size), float(t))
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: malformed workload row {raw!r}") from exc
+            if not math.isfinite(pkt.creation_time):
+                raise ConfigError(
+                    f"{path}:{lineno}: non-finite creation_time in row {raw!r}")
+            packets.append(pkt)
     return packets

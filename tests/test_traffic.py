@@ -104,3 +104,30 @@ def test_packets_roundtrip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "packet_id,src,size,creation_time"
     assert len(lines) == 61
+
+
+HEADER = "packet_id,src,size,creation_time\n"
+
+
+@pytest.mark.parametrize("row", ["1,0,1024", "1,0,1024,0.5,9", "x,0,1024,0.5",
+                                 "1,0,1024.5,0.5", "1,0,1024,soon"])
+def test_read_packets_malformed_row_names_file_and_line(tmp_path, row):
+    path = tmp_path / "packets.csv"
+    path.write_text(HEADER + "0,0,512,0.25\n\n" + row + "\n")
+    with pytest.raises(ConfigError, match=r"packets\.csv:4: malformed workload row"):
+        read_packets(str(path))
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+def test_read_packets_rejects_non_finite_creation_time(tmp_path, t):
+    path = tmp_path / "packets.csv"
+    path.write_text(HEADER + f"0,0,512,0.25\n1,0,512,{t}\n")
+    with pytest.raises(ConfigError, match=r"packets\.csv:3: non-finite creation_time"):
+        read_packets(str(path))
+
+
+def test_read_packets_bad_header_names_file(tmp_path):
+    path = tmp_path / "packets.csv"
+    path.write_text("id,src,size,t\n")
+    with pytest.raises(ConfigError, match=r"packets\.csv: unexpected workload header"):
+        read_packets(str(path))
