@@ -25,8 +25,8 @@ from .metrics import (Comparison, RunReport, StationStats, compare,
 from .mobility import (ArenaConfig, Trace, TraceSample, quantize, read_trace,
                        simulate_random_waypoint, write_trace)
 from .netsim import (DeliveryRecord, Hop, SimConfig, Topology, TopologyConfig,
-                     build_topology, conservation_check, read_records,
-                     run_sim, write_records)
+                     build_topology, conservation_check, run_sim,
+                     write_records)
 from .predictor import (BoostedModel, BoostParams, Dataset, FeatureWindow,
                         RegressionTree, build_dataset, evaluate_rmse,
                         load_model, predict, predict_positions,
@@ -54,7 +54,7 @@ __all__ = [
     "generate_flow", "generate_workload", "heuristic_score", "kmeans",
     "knee_point", "knn_head", "load_config", "load_model", "predict",
     "predict_positions", "quantize", "read_clusters", "read_heads",
-    "read_packets", "read_predictions", "read_records", "read_report",
+    "read_packets", "read_predictions", "read_report",
     "read_trace", "received_power", "run_sim", "save_config", "save_model",
     "select_heads", "simulate_random_waypoint", "train", "train_matrix",
     "weight_sweep", "write_clusters", "write_comparison", "write_heads",

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 from .ioutil import (CLUSTER_STREAM, MOBILITY_STREAM, RADIO_STREAM,
@@ -97,6 +98,11 @@ class PipelineConfig:
 
     def validate(self) -> "PipelineConfig":
         """Force every derived config through its own checks."""
+        for part in (self, self.sim):
+            for f in fields(part):
+                value = getattr(part, f.name)
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ConfigError(f"{f.name} must be finite, got {value!r}")
         self.arena_config()
         self.boost_params()
         self.traffic_params()
@@ -124,13 +130,9 @@ def _opt_int(text: str) -> int | None:
 
 _SIM_TYPES = {
     "area_width": float, "area_height": float, "num_nodes": int,
-    "radio_range": float, "interference": str, "modulation": str,
-    "mobility_model": str, "antenna": str, "energy_model": str,
-    "hello_interval": float, "expire_time": float, "initial_q": float,
-    "min_speed": float, "max_speed": float, "min_power": float,
-    "max_power": float, "packet_size": float, "packet_size_sigma": float,
-    "sinr_weight": float, "latency_threshold": float, "qnoise_lookback": int,
-    "w": float, "alpha": float, "epsilon": float,
+    "radio_range": float, "min_speed": float, "max_speed": float,
+    "min_power": float, "max_power": float, "packet_size": float,
+    "packet_size_sigma": float,
 }
 
 _SCHEMAS: dict[str, dict] = {

@@ -4,7 +4,8 @@ Candidates are ranked from pairwise distance and received-power tables. Four
 routes to a head are provided and cross-checked in tests: the heuristic mean
 power-minus-distance score, exact enumeration of the weighted objective, a
 normalized weight sweep, and a k-nearest-neighbor approximation that scores
-each candidate against only its local neighborhood.
+each candidate against only its local neighborhood. All but the sweep score
+candidates with head_objective.
 """
 
 from __future__ import annotations
@@ -31,6 +32,13 @@ class StationRadio:
     station_id: int
     position: tuple[float, float]
     base_power: float
+
+    def __post_init__(self):
+        x, y = self.position
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(self.base_power)):
+            raise SelectionError(
+                f"station {self.station_id} has a non-finite position "
+                f"{tuple(self.position)!r} or base power {self.base_power!r}")
 
 
 @dataclass(frozen=True)
@@ -118,6 +126,16 @@ def build_pairwise(members: list[StationRadio]) -> PairwiseTables:
     return _tables_from_arrays(ids, pos, power)
 
 
+def head_objective(d_sum, p_sum, w: float = 1.0):
+    """The election objective to maximise from per-candidate sums over j != i
+    of distance (d_sum) and received power (p_sum): w * p_sum - d_sum.
+
+    select_heads, exact_head, knn_head and the scaling benchmark all score
+    candidates through this one function.
+    """
+    return w * p_sum - d_sum
+
+
 def heuristic_score(tables: PairwiseTables) -> np.ndarray:
     """Score_i = mean received power minus mean distance, over all j != i.
 
@@ -127,7 +145,7 @@ def heuristic_score(tables: PairwiseTables) -> np.ndarray:
     m = tables.size
     if m == 1:
         return np.zeros(1)
-    return (tables.p.sum(axis=1) - tables.d.sum(axis=1)) / (m - 1)
+    return head_objective(tables.d.sum(axis=1), tables.p.sum(axis=1)) / (m - 1)
 
 
 def select_heads(clusters, radios: dict[int, StationRadio]) -> HeadSelection:
@@ -157,7 +175,7 @@ def select_heads(clusters, radios: dict[int, StationRadio]) -> HeadSelection:
 
 
 def exact_head(tables: PairwiseTables, w: float) -> int:
-    """Exhaustive minimum of sum(d_ij) - w * sum(p_ij) over candidates i.
+    """Exhaustive maximum of w * sum(p_ij) - sum(d_ij) over candidates i.
 
     The one-head constraint makes candidate enumeration exact, so this is the
     reference answer the other selectors are tested against.
@@ -166,8 +184,8 @@ def exact_head(tables: PairwiseTables, w: float) -> int:
         raise SelectionError("empty tables")
     if w < 0:
         raise SelectionError(f"w must be >= 0, got {w}")
-    objective = tables.d.sum(axis=1) - w * tables.p.sum(axis=1)
-    return tables.station_ids[int(np.argmin(objective))]
+    objective = head_objective(tables.d.sum(axis=1), tables.p.sum(axis=1), w)
+    return tables.station_ids[int(np.argmax(objective))]
 
 
 def _normalize_offdiag(table: np.ndarray) -> np.ndarray:
@@ -232,22 +250,27 @@ def knn_head(members, radios: dict[int, StationRadio] | None = None, k: int = 1)
     if not 1 <= k <= m - 1:
         raise SelectionError(f"k must be in [1, {m - 1}], got {k}")
     pos = np.array([mem.position for mem in members], dtype=float)
+    power = np.array([mem.base_power for mem in members], dtype=float)
+    return members[_knn_best(pos, power, k)].station_id
+
+
+def _knn_best(pos: np.ndarray, power: np.ndarray, k: int) -> int:
+    """Index of the best candidate when each one is scored against its k
+    nearest neighbors only; the first of equal scores wins."""
     tree = KDTree(pos)
     best_idx = 0
     best_score = -math.inf
-    for i in range(m):
-        neighbors = tree.query(pos[i], k, exclude=i)
-        total = 0.0
-        for dist, j in neighbors:
-            dist_c = max(dist, REFERENCE_DISTANCE_M)
-            p = members[i].base_power - 10.0 * PATH_LOSS_EXPONENT * math.log10(
-                dist_c / REFERENCE_DISTANCE_M)
-            total += p - dist
-        score = total / k
+    for i in range(pos.shape[0]):
+        d_sum = p_sum = 0.0
+        for dist, _ in tree.query(pos[i], k, exclude=i):
+            d_sum += dist
+            p_sum += power[i] - 10.0 * PATH_LOSS_EXPONENT * math.log10(
+                max(dist, REFERENCE_DISTANCE_M) / REFERENCE_DISTANCE_M)
+        score = head_objective(d_sum, p_sum) / k
         if score > best_score:
             best_score = score
             best_idx = i
-    return members[best_idx].station_id
+    return best_idx
 
 
 # --- scaling benchmark ---------------------------------------------------
@@ -270,8 +293,9 @@ def _random_instance(m: int, seed: int):
     return pos, power
 
 
-def _pairwise_scores(pos: np.ndarray, power: np.ndarray) -> np.ndarray:
-    """heuristic_score without materializing the full M x M tables.
+def _pairwise_sums(pos: np.ndarray, power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-candidate distance and received-power sums over j != i, as
+    build_pairwise's row sums, without materializing the full M x M tables.
 
     Row-blocked so the working set stays cache-sized; at M = 4096 the full
     tables run past 100 MB of temporaries and the timing curve bends away
@@ -292,29 +316,11 @@ def _pairwise_scores(pos: np.ndarray, power: np.ndarray) -> np.ndarray:
         np.maximum(d, REFERENCE_DISTANCE_M, out=d)
         np.log10(d, out=d)
         loss_sum[lo:hi] = d.sum(axis=1)
-    total_p = (m - 1) * power - 10.0 * PATH_LOSS_EXPONENT * loss_sum
-    return (total_p - d_sum) / (m - 1)
+    return d_sum, (m - 1) * power - 10.0 * PATH_LOSS_EXPONENT * loss_sum
 
 
 def _pairwise_once(ids, pos, power) -> int:
-    return ids[int(np.argmax(_pairwise_scores(pos, power)))]
-
-
-def _knn_once(pos, power, k: int) -> int:
-    tree = KDTree(pos)
-    best_idx = 0
-    best_score = -math.inf
-    for i in range(pos.shape[0]):
-        total = 0.0
-        for dist, _ in tree.query(pos[i], k, exclude=i):
-            dist_c = max(dist, REFERENCE_DISTANCE_M)
-            total += power[i] - 10.0 * PATH_LOSS_EXPONENT * math.log10(
-                dist_c / REFERENCE_DISTANCE_M) - dist
-        score = total / k
-        if score > best_score:
-            best_score = score
-            best_idx = i
-    return best_idx
+    return ids[int(np.argmax(head_objective(*_pairwise_sums(pos, power))))]
 
 
 def _fit_slope(ms: list[int], times_ns: list[int]) -> float:
@@ -329,9 +335,7 @@ def bench_ch(m_values: list[int], repetitions: int = 5, k: int = 16,
 
     Also emits analytic reference series (values are log10 of nanoseconds,
     anchored at the first measured point) for growth-rate comparison plots:
-    quadratic all-pairs, M log M + kM, linear metaheuristic-style, and
-    factorial exhaustive-search growth. The last two are plot references
-    only, not implemented algorithms.
+    quadratic all-pairs and M log M + kM.
     """
     ms = sorted(set(int(m) for m in m_values))
     if len(ms) < 3:
@@ -349,7 +353,7 @@ def bench_ch(m_values: list[int], repetitions: int = 5, k: int = 16,
         pos, power = _random_instance(m, seed)
         ids = list(range(m))
         for method, fn in (("pairwise", lambda: _pairwise_once(ids, pos, power)),
-                           ("knn", lambda: _knn_once(pos, power, k))):
+                           ("knn", lambda: _knn_best(pos, power, k))):
             fn()
             samples = []
             for _ in range(repetitions):
@@ -374,11 +378,6 @@ def bench_ch(m_values: list[int], repetitions: int = 5, k: int = 16,
             (m, math.log10(pair0) + 2.0 * math.log10(m / m0)) for m in ms],
         "ref_mlogm_kM": [
             (m, math.log10(knn0) + math.log10(_mlogm(m) / _mlogm(m0))) for m in ms],
-        "ref_metaheuristic": [
-            (m, math.log10(pair0) + math.log10(m / m0)) for m in ms],
-        "ref_exhaustive": [
-            (m, math.log10(pair0)
-             + (math.lgamma(m + 1) - math.lgamma(m0 + 1)) / math.log(10)) for m in ms],
     }
     return BenchResult(rows=rows, slopes=slopes, reference=reference, k=k)
 

@@ -45,7 +45,7 @@ import itertools
 import math
 import operator
 from array import array
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError, SimulationError, TopologyError
 from .ioutil import atomic_write_text
@@ -83,36 +83,17 @@ class TopologyConfig:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Scenario parameter sheet, echoed into every report.
-
-    The routing-protocol fields (q-values, SINR weight, hello timers and so
-    on) are carried for provenance and config round-trips but do not alter
-    the relay-forwarding engine here.
-    """
+    """Scenario parameter sheet, echoed into every report."""
     area_width: float = 500.0
     area_height: float = 500.0
     num_nodes: int = 25
     radio_range: float = 500.0
-    interference: str = "orthogonal"
-    modulation: str = "bpsk"
-    mobility_model: str = "random_waypoint"
-    antenna: str = "omnidirectional"
-    energy_model: str = "linear"
-    hello_interval: float = 0.1
-    expire_time: float = 0.3
-    initial_q: float = 0.0
     min_speed: float = 0.0
     max_speed: float = 15.0
     min_power: float = 60.0
     max_power: float = 80.0
     packet_size: float = 1024.0
     packet_size_sigma: float = 256.0
-    sinr_weight: float = 0.7
-    latency_threshold: float = 0.010
-    qnoise_lookback: int = 10
-    w: float = 0.5
-    alpha: float = 0.2
-    epsilon: float = 0.2
 
     @classmethod
     def from_mapping(cls, mapping) -> "SimConfig":
@@ -123,8 +104,6 @@ class SimConfig:
         return cls(**mapping)
 
     def __post_init__(self):
-        if not 0 < self.w < 1:
-            raise ConfigError(f"w must satisfy 0 < w < 1, got {self.w}")
         if self.num_nodes < 1:
             raise ConfigError(f"num_nodes must be >= 1, got {self.num_nodes}")
 
@@ -295,15 +274,13 @@ def _channel_order(topology: Topology) -> list[str]:
     return order
 
 
-def run_sim(topology: Topology, workload, horizon: float | None = None,
-            seed: int = 0) -> list[DeliveryRecord]:
+def run_sim(topology: Topology, workload,
+            horizon: float | None = None) -> list[DeliveryRecord]:
     """Run every packet to delivery or drop; returns records by packet_id.
 
-    seed is part of the stable interface but the engine itself is
-    deterministic, so it is unused. A finite horizon cuts the run off and
-    drops whatever is still in flight, keeping conservation intact.
+    A finite horizon cuts the run off and drops whatever is still in flight,
+    keeping conservation intact.
     """
-    del seed
     cfg = topology.config
     order = _channel_order(topology)
     inbox: dict[str, list[int]] = {name: [] for name in order}
@@ -501,30 +478,3 @@ def write_records(records: list[DeliveryRecord], path: str) -> None:
         dt = "" if r.delivery_time is None else repr(r.delivery_time)
         lines.append(f"{r.packet_id},{r.src},{r.hops},{r.send_time!r},{dt},{int(r.dropped)}")
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def read_records(path: str) -> list[DeliveryRecord]:
-    """Rows back as records. Sizes and node labels are not part of this
-    format, so the path collapses to its hop count and size reads as 0;
-    metric reports are produced at run time from in-memory records."""
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "packet_id,src,hops,send_time,delivery_time,dropped":
-            raise SimulationError(f"unexpected records header: {header!r}")
-        for raw in fh:
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                pid, src, hops_n, send, dt, dropped = raw.split(",")
-                path_stub = tuple([src] + ["?"] * int(hops_n))
-                records.append(DeliveryRecord(
-                    packet_id=int(pid), src=int(src), size=0, path=path_stub,
-                    send_time=float(send),
-                    delivery_time=None if dt == "" else float(dt),
-                    dropped=dropped == "1",
-                    drop_reason=None))
-            except ValueError as exc:
-                raise SimulationError(f"malformed records row {raw!r}") from exc
-    return records

@@ -89,15 +89,6 @@ class RegressionTree:
     right: np.ndarray
     value: np.ndarray
 
-    def predict_row(self, x: np.ndarray) -> float:
-        node = 0
-        while self.feature[node] >= 0:
-            if x[self.feature[node]] <= self.threshold[node]:
-                node = self.left[node]
-            else:
-                node = self.right[node]
-        return float(self.value[node])
-
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:
         node = np.zeros(X.shape[0], dtype=np.intp)
         while True:

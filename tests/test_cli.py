@@ -258,6 +258,15 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
     assert "mystery" in capsys.readouterr().err
 
 
+def test_non_finite_config_value_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[simulation]\narea_width = nan\n")
+    out = tmp_path / "o"
+    assert cli.main(["mobility", "--config", str(bad), "--out", str(out)]) == 2
+    assert "area_width" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
+
+
 def test_bench_writes_artifacts(tmp_path):
     out = tmp_path / "bench"
     assert cli.main(["bench", "--out", str(out), "--m-values", "64", "128",

@@ -61,6 +61,27 @@ def test_unknown_key_rejected(tmp_path):
         load_config(str(path))
 
 
+def test_removed_simulation_key_rejected(tmp_path):
+    # a config echo written while SimConfig still carried the unused
+    # routing-protocol fields
+    path = tmp_path / "cfg.ini"
+    path.write_text("[simulation]\nnum_nodes = 25\nhello_interval = 0.1\n")
+    with pytest.raises(ConfigError, match="hello_interval"):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("section,key,raw", [
+    ("simulation", "area_width", "nan"),
+    ("simulation", "min_power", "inf"),
+    ("mobility", "duration", "inf"),
+])
+def test_non_finite_value_rejected(tmp_path, section, key, raw):
+    path = tmp_path / "cfg.ini"
+    path.write_text(f"[{section}]\n{key} = {raw}\n")
+    with pytest.raises(ConfigError, match=key):
+        load_config(str(path))
+
+
 def test_bad_value_rejected(tmp_path):
     path = tmp_path / "cfg.ini"
     path.write_text("[pipeline]\nseed = banana\n")

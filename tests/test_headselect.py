@@ -19,7 +19,8 @@ from fanetsim import (
     weight_sweep,
     write_heads,
 )
-from fanetsim.headselect import write_bench, write_bench_refs
+from fanetsim.headselect import (_knn_best, _pairwise_sums, _random_instance,
+                                 head_objective, write_bench, write_bench_refs)
 
 
 def collinear_trio():
@@ -43,6 +44,19 @@ def test_received_power_frozen_values():
     # power is the transmitter's, attenuation the geometry's
     b = StationRadio(1, (100.0, 0.0), 62.0)
     assert received_power(b, a) == 22.0
+
+
+@pytest.mark.parametrize("position,power", [
+    ((float("nan"), 1.0), 70.0),
+    ((1.0, float("inf")), 70.0),
+    ((1.0, 2.0), float("nan")),
+])
+def test_station_radio_rejects_non_finite(position, power):
+    # np.argmax returns the first nan, so one bad station used to win its
+    # cluster's election quietly (and a nan min_power elected every
+    # cluster's first station)
+    with pytest.raises(SelectionError, match="station 2"):
+        StationRadio(2, position, power)
 
 
 def test_pairwise_tables():
@@ -187,6 +201,19 @@ def test_knn_head_full_neighborhood_matches_heuristic():
         assert knn_head(radios, k=len(radios) - 1) == full
 
 
+@pytest.mark.parametrize("m", [64, 700, 1100, 1500])
+def test_bench_methods_match_table_path(m):
+    # 1100 and 1500 stations span 3 and 5 row blocks of _pairwise_sums
+    pos, power = _random_instance(m, seed=3)
+    radios = [StationRadio(i, (pos[i, 0], pos[i, 1]), power[i]) for i in range(m)]
+    d_sum, p_sum = _pairwise_sums(pos, power)
+    bench_scores = head_objective(d_sum, p_sum)
+    table_scores = heuristic_score(build_pairwise(radios))
+    np.testing.assert_allclose(bench_scores / (m - 1), table_scores, rtol=1e-12)
+    assert int(np.argmax(bench_scores)) == int(np.argmax(table_scores))
+    assert knn_head(radios, k=16) == _knn_best(pos, power, 16)
+
+
 def test_kdtree_matches_bruteforce():
     rng = np.random.default_rng(8)
     for _ in range(40):
@@ -230,6 +257,7 @@ def test_bench_smoke(tmp_path):
     first_pair = next(ns for m, mm, ns in result.rows if m == "pairwise" and mm == 64)
     assert result.reference["ref_quadratic"][0][1] == pytest.approx(
         math.log10(first_pair))
+    assert set(result.reference) == {"ref_quadratic", "ref_mlogm_kM"}
     assert result.k == 4
 
     bench_csv = tmp_path / "bench.csv"
