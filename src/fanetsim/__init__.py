@@ -22,7 +22,7 @@ from .headselect import (BenchResult, ClusterHead, HeadSelection,
 from .metrics import (Comparison, RunReport, StationStats, compare,
                       compute_report, read_report, write_comparison,
                       write_report)
-from .mobility import (ArenaConfig, Trace, TraceSample, quantize, read_trace,
+from .mobility import (ArenaConfig, Trace, quantize, read_trace,
                        simulate_random_waypoint, write_trace)
 from .netsim import (DeliveryRecord, Hop, SimConfig, Topology, TopologyConfig,
                      build_topology, conservation_check, run_sim,
@@ -47,7 +47,7 @@ __all__ = [
     "PredictionError", "RegressionTree", "RunReport", "SelectionError",
     "SimConfig", "SimulationError", "StationRadio",
     "StationStats", "Topology", "TopologyConfig", "TopologyError", "Trace",
-    "TraceParseError", "TraceSample", "TrafficParams", "TrainingError",
+    "TraceParseError", "TrafficParams", "TrainingError",
     "WeightSweep", "bench_ch", "build_dataset", "build_pairwise",
     "build_topology", "compare", "compute_report", "conservation_check",
     "create_clusters", "elbow_curve", "evaluate_rmse", "exact_head",

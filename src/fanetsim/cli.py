@@ -104,12 +104,12 @@ def cmd_train(args) -> None:
 
 def cmd_predict(args) -> None:
     cfg, out = _prepare(args)
-    del cfg
     trace = mobility.read_trace(_require(args.trace, "trace"))
     model_x = predictor.load_model(_require(args.model_x, "x model"))
     model_y = predictor.load_model(_require(args.model_y, "y model"))
     at_time = args.at if args.at is not None else float(trace.times[-1])
-    preds = predictor.predict_positions(model_x, model_y, trace, at_time)
+    preds = predictor.predict_positions(
+        model_x, model_y, trace, at_time, (cfg.sim.area_width, cfg.sim.area_height))
     path = os.path.join(out, PREDICTIONS_FILE)
     predictor.write_predictions(preds, path)
     print(f"wrote {path}: {len(preds)} stations at t={at_time:g}")
@@ -166,9 +166,8 @@ def cmd_run(args) -> None:
     cfg, out = _prepare(args)
     clustering_on = args.clustering == "on"
     trace = mobility.read_trace(_require(args.trace, "trace"))
-    positions = {sid: (float(trace.positions[sid][-1, 0]),
-                       float(trace.positions[sid][-1, 1]))
-                 for sid in trace.station_ids}
+    positions = {sid: (x, y) for sid, (x, y)
+                 in zip(trace.station_ids, trace.positions[:, -1].tolist())}
 
     clusters = heads = None
     needs_clusters = clustering_on or args.mode == "decentralized"

@@ -165,14 +165,9 @@ def _fmt(value) -> str:
 
 def save_config(cfg: PipelineConfig, path: str) -> None:
     cp = configparser.ConfigParser(interpolation=None)
-    cp["pipeline"] = {"seed": _fmt(cfg.seed)}
-    cp["simulation"] = {k: _fmt(getattr(cfg.sim, k)) for k in _SIM_TYPES}
-    cp["mobility"] = {k: _fmt(getattr(cfg, k)) for k in _SCHEMAS["mobility"]}
-    cp["predictor"] = {k: _fmt(getattr(cfg, k)) for k in _SCHEMAS["predictor"]}
-    cp["clustering"] = {k: _fmt(getattr(cfg, k)) for k in _SCHEMAS["clustering"]}
-    cp["heads"] = {k: _fmt(getattr(cfg, k)) for k in _SCHEMAS["heads"]}
-    cp["traffic"] = {k: _fmt(getattr(cfg, k)) for k in _SCHEMAS["traffic"]}
-    cp["topology"] = {k: _fmt(getattr(cfg, k)) for k in _SCHEMAS["topology"]}
+    for section, schema in _SCHEMAS.items():
+        owner = cfg.sim if section == "simulation" else cfg
+        cp[section] = {k: _fmt(getattr(owner, k)) for k in schema}
     buf = io.StringIO()
     cp.write(buf)
     atomic_write_text(path, buf.getvalue())
@@ -188,25 +183,26 @@ def load_config(path: str) -> PipelineConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 
+    problems: list[str] = []
     values: dict[str, dict] = {}
     for section in cp.sections():
-        if section not in _SCHEMAS:
-            raise ConfigError(f"unrecognized config section [{section}]")
-        schema = _SCHEMAS[section]
+        schema = _SCHEMAS.get(section)
+        if schema is None:
+            problems.append(f"unrecognized section [{section}]")
+            continue
         values[section] = {}
         for key, raw in cp[section].items():
             if key not in schema:
-                raise ConfigError(f"unrecognized key {key!r} in section [{section}]")
+                problems.append(f"unrecognized key {key!r} in section [{section}]")
+                continue
             try:
                 values[section][key] = schema[key](raw)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"bad value for {key!r} in section [{section}]: {raw!r}") from exc
+            except ValueError:
+                problems.append(f"bad value for {key!r} in section [{section}]: {raw!r}")
+    if problems:
+        raise ConfigError(f"{path}: {'; '.join(problems)}")
 
-    sim = SimConfig.from_mapping(values.get("simulation", {}))
-    kwargs: dict = {"sim": sim}
-    kwargs.update(values.get("pipeline", {}))
-    for section in ("mobility", "predictor", "clustering", "heads",
-                    "traffic", "topology"):
-        kwargs.update(values.get(section, {}))
+    kwargs: dict = {"sim": SimConfig(**values.pop("simulation", {}))}
+    for section_values in values.values():
+        kwargs.update(section_values)
     return PipelineConfig(**kwargs).validate()

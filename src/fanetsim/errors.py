@@ -14,12 +14,13 @@ class ConfigError(FanetSimError):
 
 
 class TraceParseError(FanetSimError):
-    """Malformed trace file. Carries the offending 1-based line number."""
+    """Malformed trace file. Carries the file path and, when a row is at
+    fault, its 1-based line number."""
 
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    def __init__(self, path: str, message: str, line: int | None = None):
+        where = path if line is None else f"{path}:{line}"
+        super().__init__(f"{where}: {message}")
+        self.path = path
         self.line = line
 
 

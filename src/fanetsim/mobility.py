@@ -5,23 +5,30 @@ destination, travels toward it in a straight line at a per-leg uniform speed,
 optionally pauses on arrival, and repeats. Positions are sampled on a fixed
 time grid. Samples are stored quantized to 9 significant digits (the trace
 file resolution) while the walker itself keeps full precision, so a written
-trace reloads bit-for-bit without accumulating rounding error.
+trace reloads bit-for-bit without accumulating rounding error. A trace is
+one (stations, samples, 2) position array over a shared time grid; on disk
+it is one CSV row per (station_id, time), grouped by station.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, TraceParseError
+from .ioutil import atomic_write_text
 
 # Substitute leg speed when min_speed is 0, so a zero-speed draw cannot park a
 # station forever. Not applied when max_speed is 0 (deliberately static fleet).
 EPSILON_SPEED = 0.01
 
 TRACE_HEADER = "time,station_id,x,y"
+# Rows split and converted at a time by read_trace; bounds its scratch memory.
+_PARSE_BLOCK = 8192
+_CONVERTERS = (float, int, float, float)  # time, station_id, x, y
 
 
 def quantize(value: float) -> float:
@@ -65,57 +72,39 @@ class ArenaConfig:
         return int(math.floor(self.duration / self.sample_interval)) + 1
 
 
-@dataclass(frozen=True)
-class TraceSample:
-    time: float
-    station_id: int
-    x: float
-    y: float
-
-
 class Trace:
-    """Sampled positions for a set of stations on one shared time grid."""
+    """Sampled positions of a set of stations on one shared time grid.
 
-    def __init__(self, times: np.ndarray, positions: dict[int, np.ndarray],
-                 config: ArenaConfig | None = None):
+    `positions` is one float array of shape (S, T, 2): row i holds the (x, y)
+    samples of station `station_ids[i]` at `times`. Ids are ascending Python
+    ints and need not be contiguous.
+    """
+
+    def __init__(self, times: np.ndarray, station_ids, positions: np.ndarray):
         self.times = np.asarray(times, dtype=float)
-        self.positions = {int(k): np.asarray(v, dtype=float) for k, v in positions.items()}
-        self.config = config
-        for sid, pos in self.positions.items():
-            if pos.shape != (len(self.times), 2):
-                raise ConfigError(
-                    f"station {sid}: expected {len(self.times)}x2 positions, got {pos.shape}")
-
-    @property
-    def station_ids(self) -> list[int]:
-        return sorted(self.positions)
+        self.station_ids = [int(s) for s in station_ids]
+        self.positions = np.asarray(positions, dtype=float)
+        shape = (len(self.station_ids), len(self.times), 2)
+        if self.positions.shape != shape:
+            raise ConfigError(f"expected positions of shape {shape}, got {self.positions.shape}")
+        if any(a >= b for a, b in zip(self.station_ids, self.station_ids[1:])):
+            raise ConfigError(f"station ids must be strictly increasing, got {self.station_ids}")
 
     @property
     def num_samples(self) -> int:
         return len(self.times)
 
-    def iter_samples(self):
-        """Yield TraceSample rows in file order: by (station_id, time)."""
-        for sid in self.station_ids:
-            pos = self.positions[sid]
-            for i, t in enumerate(self.times):
-                yield TraceSample(float(t), sid, float(pos[i, 0]), float(pos[i, 1]))
-
     def __eq__(self, other):
         if not isinstance(other, Trace):
             return NotImplemented
-        if self.station_ids != other.station_ids:
-            return False
-        if not np.array_equal(self.times, other.times):
-            return False
-        return all(np.array_equal(self.positions[s], other.positions[s])
-                   for s in self.station_ids)
+        return (self.station_ids == other.station_ids
+                and np.array_equal(self.times, other.times)
+                and np.array_equal(self.positions, other.positions))
 
 
-def _walk_station(config: ArenaConfig, rng: np.random.Generator) -> np.ndarray:
-    """Simulate one station; returns (num_samples, 2) quantized positions."""
+def _walk_station(config: ArenaConfig, rng: np.random.Generator, out: np.ndarray) -> None:
+    """Simulate one station into `out`, its (num_samples, 2) quantized positions."""
     n = config.num_samples
-    out = np.empty((n, 2))
     x = rng.uniform(0.0, config.width)
     y = rng.uniform(0.0, config.height)
     out[0] = (quantize(x), quantize(y))
@@ -123,7 +112,7 @@ def _walk_station(config: ArenaConfig, rng: np.random.Generator) -> np.ndarray:
     if config.max_speed == 0.0:
         # Static fleet: every sample repeats the start position.
         out[1:] = out[0]
-        return out
+        return
 
     target = None
     speed = 0.0
@@ -155,7 +144,6 @@ def _walk_station(config: ArenaConfig, rng: np.random.Generator) -> np.ndarray:
                 y += (target[1] - y) * frac
                 t_left = 0.0
         out[i] = (quantize(x), quantize(y))
-    return out
 
 
 def simulate_random_waypoint(config: ArenaConfig) -> Trace:
@@ -165,96 +153,126 @@ def simulate_random_waypoint(config: ArenaConfig) -> Trace:
     so traces are reproducible station-by-station.
     """
     times = np.array([quantize(i * config.sample_interval) for i in range(config.num_samples)])
-    positions = {}
+    positions = np.empty((config.num_stations, config.num_samples, 2))
     for sid in range(config.num_stations):
-        rng = np.random.default_rng([config.seed, sid])
-        positions[sid] = _walk_station(config, rng)
-    return Trace(times, positions, config)
+        _walk_station(config, np.random.default_rng([config.seed, sid]), positions[sid])
+    return Trace(times, range(config.num_stations), positions)
 
 
 def write_trace(trace: Trace, path: str) -> None:
     """Write the trace CSV: header time,station_id,x,y, rows sorted by
     (station_id, time), floats as 9-significant-digit decimals."""
-    from .ioutil import atomic_write_text
+    times = [f"{t:.9g}" for t in trace.times.tolist()]
+    parts = [TRACE_HEADER + "\n"]
+    for sid, pos in zip(trace.station_ids, trace.positions):
+        parts.extend(f"{t},{sid},{x:.9g},{y:.9g}\n"
+                     for t, x, y in zip(times, pos[:, 0].tolist(), pos[:, 1].tolist()))
+    atomic_write_text(path, "".join(parts))
 
-    lines = [TRACE_HEADER]
-    for s in trace.iter_samples():
-        lines.append(f"{s.time:.9g},{s.station_id},{s.x:.9g},{s.y:.9g}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+
+def _parse_rows(path: str, rows: list[str], linenos: np.ndarray,
+                columns: tuple[list, ...]) -> None:
+    """Append one array per column for rows of four cells, or raise at the
+    first cell (in file order) that Python's int/float rejects."""
+    if not rows:
+        return
+    cells = ",".join(rows).split(",")
+    try:
+        arrays = [np.array(list(map(convert, cells[j::4])))
+                  for j, convert in enumerate(_CONVERTERS)]
+    except ValueError:
+        for i, cell in enumerate(cells):
+            try:
+                _CONVERTERS[i % 4](cell)
+            except ValueError as exc:
+                raise TraceParseError(path, str(exc), line=int(linenos[i // 4])) from None
+    for column, array in zip(columns, arrays):
+        column.append(array)
 
 
 def read_trace(path: str, config: ArenaConfig | None = None) -> Trace:
     """Parse a trace CSV back into a Trace.
 
-    The file format carries no arena metadata, so the config echo is supplied
-    by the caller (and validated against the data when present). Malformed
-    rows raise TraceParseError naming the 1-based line number.
+    The body is read in blocks of rows, each split once and converted column
+    by column (Python's own int and float), then checked with whole-column
+    comparisons. Every error raises TraceParseError naming the file and, when
+    a row is at fault, the 1-based line of the first such row. The file format
+    carries no arena metadata, so the config is supplied by the caller and
+    validated against the data when present.
     """
-    rows: dict[int, list[tuple[float, float, float]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n\r")
-        if header != TRACE_HEADER:
-            raise TraceParseError(f"expected header {TRACE_HEADER!r}, got {header!r}", line=1)
-        last_key = None
-        for lineno, raw in enumerate(fh, start=2):
-            raw = raw.strip()
-            if not raw:
-                continue
-            parts = raw.split(",")
-            if len(parts) != 4:
-                raise TraceParseError(f"expected 4 columns, got {len(parts)}", line=lineno)
-            try:
-                t = float(parts[0])
-                sid = int(parts[1])
-                x = float(parts[2])
-                y = float(parts[3])
-            except ValueError as exc:
-                raise TraceParseError(str(exc), line=lineno) from None
-            if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y)):
-                raise TraceParseError("non-finite value", line=lineno)
-            if sid < 0:
-                raise TraceParseError(f"negative station id {sid}", line=lineno)
-            key = (sid, t)
-            if last_key is not None:
-                if sid < last_key[0]:
-                    raise TraceParseError("rows not sorted by station_id", line=lineno)
-                if sid == last_key[0] and t <= last_key[1]:
-                    raise TraceParseError("time not strictly increasing", line=lineno)
-            last_key = key
-            rows.setdefault(sid, []).append((t, x, y))
+    columns, linenos = ([], [], [], []), []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n\r")
+            if header != TRACE_HEADER:
+                raise TraceParseError(
+                    path, f"expected header {TRACE_HEADER!r}, got {header!r}", line=1)
+            block_line = 2  # line number of the block's first line
+            while block := [raw.strip() for raw in itertools.islice(fh, _PARSE_BLOCK)]:
+                keep = [i for i, s in enumerate(block) if s]
+                rows = [block[i] for i in keep]
+                numbers = np.array(keep, dtype=np.intp) + block_line
+                block_line += len(block)
+                ragged = next((i for i, s in enumerate(rows) if s.count(",") != 3), None)
+                # Rows before a ragged one are parsed first, so the earliest
+                # bad line in the file is the one reported.
+                _parse_rows(path, rows[:ragged], numbers, columns)
+                if ragged is not None:
+                    raise TraceParseError(
+                        path, f"expected 4 columns, got {rows[ragged].count(',') + 1}",
+                        line=int(numbers[ragged]))
+                linenos.append(numbers)
+    except UnicodeDecodeError as exc:
+        raise TraceParseError(path, f"not UTF-8 text: {exc}") from None
+    if not columns[0]:
+        raise TraceParseError(path, "no samples")
+    linenos = np.concatenate(linenos)
+    t, sid, x, y = map(np.concatenate, columns)
 
-    if not rows:
-        times = np.array([])
-        trace = Trace(times, {}, config)
-        return trace
+    # Ids beyond int64 make `sid` an object array of Python ints.
+    same_station = sid[1:] == sid[:-1]
+    checks = (
+        (~(np.isfinite(t) & np.isfinite(x) & np.isfinite(y)), "non-finite value"),
+        (sid < 0, "negative station id {}"),
+        (np.r_[False, sid[1:] < sid[:-1]], "rows not sorted by station_id"),
+        (np.r_[False, same_station & (t[1:] <= t[:-1])], "time not strictly increasing"),
+    )
+    failing = np.logical_or.reduce([mask for mask, _ in checks])
+    if failing.any():
+        row = int(np.argmax(failing))
+        message = next(message for mask, message in checks if mask[row])
+        raise TraceParseError(path, message.format(sid[row]), line=int(linenos[row]))
 
-    ids = sorted(rows)
-    ref_times = np.array([r[0] for r in rows[ids[0]]])
-    if len(ref_times) >= 2:
-        spacing = np.diff(ref_times)
-        ref_dt = spacing[0]
-        if np.any(np.abs(spacing - ref_dt) > 1e-9 * max(1.0, abs(ref_dt))):
-            raise TraceParseError("sample spacing is not constant")
-    positions = {}
-    for sid in ids:
-        arr = np.array(rows[sid])
-        if len(arr) != len(ref_times) or not np.array_equal(arr[:, 0], ref_times):
-            raise TraceParseError(f"station {sid} does not share the common sample grid")
-        positions[sid] = arr[:, 1:3]
+    starts = np.flatnonzero(np.r_[True, ~same_station])
+    n_times = len(t) if len(starts) == 1 else int(starts[1])
+    times = t[:n_times]
+    if n_times >= 2:
+        spacing = np.diff(times)
+        uneven = np.flatnonzero(
+            np.abs(spacing - spacing[0]) > 1e-9 * max(1.0, abs(spacing[0])))
+        if uneven.size:
+            raise TraceParseError(path, "sample spacing is not constant",
+                                  line=int(linenos[uneven[0] + 1]))
+    ragged = np.flatnonzero(np.diff(np.r_[starts, len(t)]) != n_times)
+    off_grid = starts[ragged] if ragged.size else np.flatnonzero(
+        t != np.tile(times, len(starts)))
+    if off_grid.size:
+        row = off_grid[0]
+        raise TraceParseError(
+            path, f"station {sid[row]} does not share the common sample grid",
+            line=int(linenos[row]))
 
-    trace = Trace(ref_times, positions, config)
     if config is not None:
-        _validate_against_config(trace, config)
-    return trace
-
-
-def _validate_against_config(trace: Trace, config: ArenaConfig) -> None:
-    for sid, pos in trace.positions.items():
-        if np.any(pos[:, 0] < 0) or np.any(pos[:, 0] > config.width) \
-                or np.any(pos[:, 1] < 0) or np.any(pos[:, 1] > config.height):
-            raise TraceParseError(f"station {sid} leaves the {config.width}x{config.height} arena")
-    if trace.num_samples >= 2:
-        dt = trace.times[1] - trace.times[0]
+        outside = np.flatnonzero((x < 0) | (x > config.width) | (y < 0) | (y > config.height))
+        if outside.size:
+            row = outside[0]
+            raise TraceParseError(
+                path, f"station {sid[row]} leaves the {config.width}x{config.height} arena",
+                line=int(linenos[row]))
+        dt = times[1] - times[0] if n_times >= 2 else config.sample_interval
         if abs(dt - config.sample_interval) > 1e-9 * max(1.0, config.sample_interval):
             raise TraceParseError(
-                f"sample spacing {dt} does not match configured interval {config.sample_interval}")
+                path, f"sample spacing {dt} does not match configured interval "
+                f"{config.sample_interval}", line=int(linenos[1]))
+    return Trace(times, sid[starts].tolist(),
+                 np.column_stack([x, y]).reshape(len(starts), n_times, 2))

@@ -45,7 +45,7 @@ import itertools
 import math
 import operator
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import ConfigError, SimulationError, TopologyError
 from .ioutil import atomic_write_text
@@ -94,14 +94,6 @@ class SimConfig:
     max_power: float = 80.0
     packet_size: float = 1024.0
     packet_size_sigma: float = 256.0
-
-    @classmethod
-    def from_mapping(cls, mapping) -> "SimConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(mapping) - known)
-        if unknown:
-            raise ConfigError(f"unrecognized simulation keys: {', '.join(unknown)}")
-        return cls(**mapping)
 
     def __post_init__(self):
         if self.num_nodes < 1:

@@ -142,12 +142,11 @@ class Dataset:
 
 def _feature_rows(positions: np.ndarray, anchors: np.ndarray,
                   h: int, dt: float) -> np.ndarray:
-    cols = []
-    for lag in range(1, h + 1):
-        cols.append(positions[anchors - lag])
-    vel = (positions[anchors - 1] - positions[anchors - 2]) / dt
-    cols.append(vel)
-    return np.hstack(cols)
+    """Feature rows at each anchor for a (T, 2) track or an (S, T, 2) trace
+    array; rows come in (station, anchor) order."""
+    cols = [positions[..., anchors - lag, :] for lag in range(1, h + 1)]
+    cols.append((positions[..., anchors - 1, :] - positions[..., anchors - 2, :]) / dt)
+    return np.concatenate(cols, axis=-1).reshape(-1, 2 * h + 2)
 
 
 def build_dataset(trace: Trace, h: int = 5, horizon: int = 1,
@@ -162,35 +161,22 @@ def build_dataset(trace: Trace, h: int = 5, horizon: int = 1,
     if t_last < t_first:
         raise DatasetError(
             f"trace too short: {n} samples cannot support h={h}, horizon={horizon}")
-    if n >= 2:
-        dt = trace.times[1] - trace.times[0]
-    else:
-        raise DatasetError("trace too short: need at least 2 samples")
+    dt = trace.times[1] - trace.times[0]
 
     anchors = np.arange(t_first, t_last + 1)
     per_station = anchors.size
-    xs, tx, ty, sids, times = [], [], [], [], []
-    for sid in trace.station_ids:
-        pos = trace.positions[sid]
-        xs.append(_feature_rows(pos, anchors, h, dt))
-        tx.append(pos[anchors + horizon, 0])
-        ty.append(pos[anchors + horizon, 1])
-        sids.append(np.full(per_station, sid, dtype=np.intp))
-        times.append(trace.times[anchors])
-
+    num_stations = len(trace.station_ids)
     n_train = int(math.floor(train_fraction * per_station))
-    train_local = np.arange(n_train)
-    test_local = np.arange(n_train, per_station)
-    train_idx = np.concatenate([
-        train_local + i * per_station for i in range(len(trace.station_ids))])
-    test_idx = np.concatenate([
-        test_local + i * per_station for i in range(len(trace.station_ids))])
-
+    offsets = np.arange(num_stations)[:, None] * per_station
+    targets = trace.positions[:, anchors + horizon]
     return Dataset(
-        X=np.vstack(xs), target_x=np.concatenate(tx), target_y=np.concatenate(ty),
-        station_ids=np.concatenate(sids), times=np.concatenate(times),
-        train_idx=train_idx, test_idx=test_idx, window=window,
-        feature_names=window.feature_names())
+        X=_feature_rows(trace.positions, anchors, h, dt),
+        target_x=targets[..., 0].ravel(), target_y=targets[..., 1].ravel(),
+        station_ids=np.repeat(np.array(trace.station_ids, dtype=np.intp), per_station),
+        times=np.tile(trace.times[anchors], num_stations),
+        train_idx=(offsets + np.arange(n_train)).ravel(),
+        test_idx=(offsets + np.arange(n_train, per_station)).ravel(),
+        window=window, feature_names=window.feature_names())
 
 
 def _midpoint(lo: float, hi: float) -> float:
@@ -508,8 +494,9 @@ def evaluate_rmse(model: BoostedModel, X: np.ndarray, y: np.ndarray):
 
 def predict_positions(model_x: BoostedModel, model_y: BoostedModel,
                       trace: Trace, at_time: float,
-                      bounds: tuple[float, float] | None = None) -> dict[int, tuple[float, float]]:
-    """One clamped (x, y) per station for the given trace timestamp.
+                      bounds: tuple[float, float]) -> dict[int, tuple[float, float]]:
+    """One (x, y) per station for the given trace timestamp, clamped to the
+    arena [0, width] x [0, height] given as `bounds`.
 
     Features are taken `horizon` steps before at_time, so the prediction uses
     only history strictly older than the timestamp being predicted.
@@ -518,11 +505,6 @@ def predict_positions(model_x: BoostedModel, model_y: BoostedModel,
         raise PredictionError("models carry no feature window description")
     if model_x.window != model_y.window:
         raise PredictionError("coordinate models disagree on the feature window")
-    if bounds is None:
-        if trace.config is not None:
-            bounds = (trace.config.width, trace.config.height)
-        else:
-            bounds = (500.0, 500.0)
     window = model_x.window
     h, horizon = window.history_length, window.horizon
 
@@ -535,9 +517,7 @@ def predict_positions(model_x: BoostedModel, model_y: BoostedModel,
             f"insufficient history before t={at_time} for h={h}, horizon={horizon}")
     dt = trace.times[1] - trace.times[0]
 
-    anchors = np.array([t])
-    features = np.vstack([_feature_rows(trace.positions[sid], anchors, h, dt)
-                          for sid in trace.station_ids])
+    features = _feature_rows(trace.positions, np.array([t]), h, dt)
     px = predict(model_x, features).tolist()
     py = predict(model_y, features).tolist()
     return {sid: (min(max(x, 0.0), bounds[0]), min(max(y, 0.0), bounds[1]))
@@ -635,5 +615,9 @@ def read_predictions(path: str) -> dict[int, tuple[float, float]]:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise PredictionError(
                     f"{path}:{lineno}: non-finite prediction in row {raw!r}")
+            if sid < 0:
+                raise PredictionError(f"{path}:{lineno}: negative station id {sid}")
+            if sid in out:
+                raise PredictionError(f"{path}:{lineno}: duplicate station id {sid}")
             out[sid] = (x, y)
     return out

@@ -6,6 +6,7 @@ the whole file cheap enough to run on every pytest invocation.
 """
 
 import collections
+import dataclasses
 import filecmp
 import json
 import xml.etree.ElementTree as ET
@@ -14,6 +15,8 @@ import pytest
 
 from fanetsim import cli, metrics
 from fanetsim.config import PipelineConfig, load_config, save_config
+from fanetsim.netsim import SimConfig
+from fanetsim.predictor import read_predictions
 
 
 def small_config() -> PipelineConfig:
@@ -209,6 +212,28 @@ def test_heads_rejects_nan_predictions(chain, tmp_path, capsys):
     assert code == 2
     assert f"{bad}:2: non-finite prediction" in capsys.readouterr().err
     assert not (tmp_path / "h" / "heads.json").exists()
+
+
+def test_predict_clamps_to_configured_arena(tmp_path):
+    # predictions used to be clamped to a 500 m square whatever the arena
+    cfg = dataclasses.replace(
+        small_config(), duration=60.0, num_rounds=10,
+        sim=dataclasses.replace(SimConfig(), area_width=2000.0,
+                                area_height=2000.0, num_nodes=10))
+    c, o = str(tmp_path / "cfg.ini"), str(tmp_path / "out")
+    save_config(cfg, c)
+    assert cli.main(["mobility", "--config", c, "--out", o]) == 0
+    assert cli.main(["train", "--config", c, "--out", o,
+                     "--trace", f"{o}/trace.csv"]) == 0
+    assert cli.main(["predict", "--config", c, "--out", o,
+                     "--trace", f"{o}/trace.csv",
+                     "--model-x", f"{o}/model_x.json",
+                     "--model-y", f"{o}/model_y.json"]) == 0
+    preds = read_predictions(f"{o}/predictions.csv")
+    coords = [v for xy in preds.values() for v in xy]
+    assert len(preds) == 10
+    assert max(coords) > 500.0
+    assert all(0.0 <= v <= 2000.0 for v in coords)
 
 
 def test_run_demands_clusters_when_needed(chain, tmp_path, capsys):

@@ -70,6 +70,24 @@ def test_removed_simulation_key_rejected(tmp_path):
         load_config(str(path))
 
 
+def test_every_unknown_entry_named_at_once(tmp_path):
+    path = tmp_path / "cfg.ini"
+    path.write_text("[simulation]\nnum_nodes = 5\ndoes_not_exist = 1\n"
+                    "hello_interval = 0.1\n[wireless]\nchannel = 6\n"
+                    "[mobility]\nwarp_speed = 9\nduration = soon\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert str(err.value) == (
+        f"{path}: unrecognized key 'does_not_exist' in section [simulation]; "
+        "unrecognized key 'hello_interval' in section [simulation]; "
+        "unrecognized section [wireless]; "
+        "unrecognized key 'warp_speed' in section [mobility]; "
+        "bad value for 'duration' in section [mobility]: 'soon'")
+
+    path.write_text("[simulation]\nnum_nodes = 5\n")
+    assert load_config(str(path)).sim.num_nodes == 5
+
+
 @pytest.mark.parametrize("section,key,raw", [
     ("simulation", "area_width", "nan"),
     ("simulation", "min_power", "inf"),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanetsim import (
     ArenaConfig,
@@ -189,6 +191,65 @@ def test_read_trace_errors(tmp_path):
         read_trace(str(path))
 
 
+H = TRACE_HEADER + "\n"
+
+
+@pytest.mark.parametrize("body,line,message,config", [
+    ("nope\n0,0,1,2\n", 1, "expected header", None),
+    (H + "0,0,1,2\n\n1,0,1\n", 4, "expected 4 columns, got 3", None),
+    (H + "0,0,1,2\n1,0,1,2,9\n", 3, "expected 4 columns, got 5", None),
+    (H + "0,0,1,2\n1,0,abc,2\n", 3, "could not convert", None),
+    (H + "0,0,1,2\n1,0.5,1,2\n", 3, "invalid literal for int()", None),
+    (H + "0,0,1,2\n1,0,1,x\n0,z,1,2\n", 3, "could not convert", None),
+    (H + "0,0,1,2\n1,0,1,2\n0,1,1,y\n1,q,1,2\n", 4, "could not convert", None),
+    (H + "0,0,1,2\n1,0,inf,2\n", 3, "non-finite value", None),
+    (H + "0,0,1,2\nnan,0,1,2\n", 3, "non-finite value", None),
+    (H + "0,-3,1,2\n", 2, "negative station id -3", None),
+    (H + "0,1,1,2\n0,0,1,2\n", 3, "rows not sorted by station_id", None),
+    (H + "0,0,1,2\n0,0,1,2\n", 3, "time not strictly increasing", None),
+    (H + "1,0,1,2\n0,0,1,2\n", 3, "time not strictly increasing", None),
+    (H + "0,5,1,2\n0,99999999999999999999,1,2\n0,4,1,2\n", 4,
+     "rows not sorted by station_id", None),
+    (H + "0,0,1,2\n1,0,1,2\n3,0,1,2\n", 4, "spacing is not constant", None),
+    (H + "0,0,1,2\n1,0,1,2\n0,4,3,4\n", 4, "station 4 does not share", None),
+    (H + "0,0,1,2\n1,0,1,2\n0,4,3,4\n2,4,3,4\n", 5,
+     "station 4 does not share", None),
+    (H + "0,0,1,2\n1,0,1,2\n0,1,3,4\n\n1,1,900,4\n", 6,
+     "station 1 leaves the 500.0x500.0 arena", ArenaConfig()),
+    (H + "0,0,1,2\n2,0,1,2\n", 3, "does not match configured interval",
+     ArenaConfig()),
+])
+def test_read_trace_error_names_file_and_line(tmp_path, body, line, message, config):
+    path = tmp_path / "trace.csv"
+    path.write_text(body)
+    with pytest.raises(TraceParseError) as err:
+        read_trace(str(path), config)
+    assert err.value.line == line
+    assert err.value.path == str(path)
+    assert str(err.value).startswith(f"{path}:{line}: ")
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize("body,message", [
+    (H, "no samples"),
+    (H + "\n  \n", "no samples"),
+])
+def test_read_trace_file_level_errors_name_file(tmp_path, body, message):
+    path = tmp_path / "trace.csv"
+    path.write_text(body)
+    with pytest.raises(TraceParseError) as err:
+        read_trace(str(path))
+    assert err.value.line is None
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_read_trace_rejects_non_utf8(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(TRACE_HEADER.encode() + b"\n0,0,\xff,2\n")
+    with pytest.raises(TraceParseError, match=f"^{path}: not UTF-8"):
+        read_trace(str(path))
+
+
 def test_read_trace_rejects_out_of_arena(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text(TRACE_HEADER + "\n0,0,900,2\n")
@@ -201,4 +262,51 @@ def test_read_trace_rejects_out_of_arena(tmp_path):
 
 def test_trace_shape_validation():
     with pytest.raises(ConfigError):
-        Trace(np.array([0.0, 1.0]), {0: np.zeros((3, 2))})
+        Trace(np.array([0.0, 1.0]), [0], np.zeros((1, 3, 2)))
+    with pytest.raises(ConfigError):
+        Trace(np.array([0.0, 1.0]), [0, 1], np.zeros((1, 2, 2)))
+    with pytest.raises(ConfigError, match="strictly increasing"):
+        Trace(np.array([0.0]), [3, 3], np.zeros((2, 1, 2)))
+    trace = Trace(np.array([0.0, 1.0]), [2, 7], np.zeros((2, 2, 2)))
+    assert trace.station_ids == [2, 7] and trace.num_samples == 2
+
+
+def test_simulated_trace_is_one_array():
+    trace = simulate_random_waypoint(small(num_stations=3, duration=4.0))
+    assert trace.station_ids == [0, 1, 2]
+    assert trace.positions.shape == (3, 5, 2)
+
+
+_coords = st.floats(min_value=-1e7, max_value=1e7, allow_nan=False,
+                    allow_subnormal=False).map(quantize)
+_dense_ids = st.integers(1, 5).map(lambda n: list(range(n)))
+_sparse_ids = st.lists(st.integers(0, 10**12), min_size=1, max_size=5,
+                       unique=True).map(sorted)
+
+
+@st.composite
+def traces(draw):
+    ids = draw(st.one_of(_dense_ids, _sparse_ids))
+    n = draw(st.integers(1, 30))
+    # spacings and starts on a binary-exact grid keep the 9-digit file times
+    # exactly evenly spaced
+    dt = draw(st.integers(1, 400)) / 8
+    t0 = draw(st.integers(-1000, 1000)) / 4
+    times = np.array([quantize(t0 + i * dt) for i in range(n)])
+    flat = draw(st.lists(_coords, min_size=len(ids) * n * 2,
+                         max_size=len(ids) * n * 2))
+    return Trace(times, ids, np.array(flat).reshape(len(ids), n, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(trace=traces())
+def test_trace_roundtrip_property(tmp_path_factory, trace):
+    path = tmp_path_factory.mktemp("rt") / "trace.csv"
+    write_trace(trace, str(path))
+    back = read_trace(str(path))
+    assert back == trace
+    assert back.station_ids == trace.station_ids
+    assert all(type(s) is int for s in back.station_ids)
+    first = path.read_bytes()
+    write_trace(back, str(path))
+    assert path.read_bytes() == first

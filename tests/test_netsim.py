@@ -113,9 +113,6 @@ def test_topology_config_validation():
 def test_sim_config_validation():
     with pytest.raises(ConfigError):
         SimConfig(num_nodes=0)
-    with pytest.raises(ConfigError):
-        SimConfig.from_mapping({"num_nodes": 5, "does_not_exist": 1})
-    assert SimConfig.from_mapping({"num_nodes": 5}).num_nodes == 5
 
 
 def test_centralized_nonclustered_topology():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanetsim import (
     ArenaConfig,
@@ -32,7 +34,7 @@ def linear_trace(n_samples=20, slope=(1.0, 2.0)) -> Trace:
     """One station moving in a straight line: position(t) = slope * t."""
     times = np.arange(n_samples, dtype=float)
     pos = np.column_stack([slope[0] * times, slope[1] * times])
-    return Trace(times, {0: pos})
+    return Trace(times, [0], pos[None])
 
 
 def walk_tree(tree, row):
@@ -282,9 +284,9 @@ def test_predict_positions():
     assert abs(x - 10.0) < 1.0 and abs(y - 20.0) < 2.0
 
     with pytest.raises(PredictionError):
-        predict_positions(mx, my, trace, at_time=19.5)
+        predict_positions(mx, my, trace, at_time=19.5, bounds=(500.0, 500.0))
     with pytest.raises(PredictionError):
-        predict_positions(mx, my, trace, at_time=1.0)
+        predict_positions(mx, my, trace, at_time=1.0, bounds=(500.0, 500.0))
 
     # predictions are clamped to the stated bounds
     out = predict_positions(mx, my, trace, at_time=10.0, bounds=(6.0, 12.0))
@@ -366,14 +368,14 @@ def test_non_finite_training_input_rejected():
 
 
 def test_predict_positions_batch_equals_per_row_path(tmp_path):
-    trace = simulate_random_waypoint(
-        ArenaConfig(num_stations=7, duration=120.0, seed=3))
+    arena = ArenaConfig(num_stations=7, duration=120.0, seed=3)
+    trace = simulate_random_waypoint(arena)
     ds = build_dataset(trace, h=3)
     mx = train(ds, BoostParams(num_rounds=15), target="x")
     my = train(ds, BoostParams(num_rounds=15), target="y")
     at = float(trace.times[-1])
-    bounds = (trace.config.width, trace.config.height)
-    batched = predict_positions(mx, my, trace, at)
+    bounds = (arena.width, arena.height)
+    batched = predict_positions(mx, my, trace, at, bounds)
 
     t = trace.num_samples - 1 - ds.window.horizon
     dt = trace.times[1] - trace.times[0]
@@ -394,3 +396,81 @@ def test_read_predictions_rejects_non_finite(tmp_path, bad):
     path.write_text(f"station_id,pred_x,pred_y\n0,1.0,2.0\n1,3.0,{bad}\n")
     with pytest.raises(PredictionError, match=r"predictions\.csv:3: non-finite"):
         read_predictions(str(path))
+
+
+def reference_feature_rows(pos, anchors, h, dt):
+    """Per-station feature rows of one (T, 2) track, as built before traces
+    became one array."""
+    cols = [pos[anchors - lag] for lag in range(1, h + 1)]
+    cols.append((pos[anchors - 1] - pos[anchors - 2]) / dt)
+    return np.hstack(cols)
+
+
+@pytest.mark.parametrize("h,horizon", [(1, 1), (3, 2), (5, 1)])
+def test_build_dataset_equals_per_station_stack(h, horizon):
+    arena = ArenaConfig(num_stations=6, duration=60.0, seed=4)
+    dense = simulate_random_waypoint(arena)
+    sparse = Trace(dense.times, [2, 5, 9, 40, 41, 1000], dense.positions)
+    for trace in (dense, sparse):
+        ds = build_dataset(trace, h=h, horizon=horizon)
+        anchors = np.arange(max(h, 2), trace.num_samples - horizon)
+        dt = trace.times[1] - trace.times[0]
+        X = np.vstack([reference_feature_rows(pos, anchors, h, dt)
+                       for pos in trace.positions])
+        assert ds.X.dtype == X.dtype and ds.X.shape == X.shape
+        assert ds.X.tobytes() == X.tobytes()
+        assert ds.X.flags.c_contiguous
+        for i, sid in enumerate(trace.station_ids):
+            rows = ds.station_ids == sid
+            np.testing.assert_array_equal(
+                ds.target_x[rows], trace.positions[i, anchors + horizon, 0])
+            np.testing.assert_array_equal(
+                ds.target_y[rows], trace.positions[i, anchors + horizon, 1])
+            np.testing.assert_array_equal(ds.times[rows], trace.times[anchors])
+
+
+def test_predict_positions_keys_sparse_ids():
+    arena = ArenaConfig(num_stations=3, duration=40.0, seed=2)
+    dense = simulate_random_waypoint(arena)
+    sparse = Trace(dense.times, [4, 17, 300], dense.positions)
+    ds = build_dataset(dense, h=3)
+    mx = train(ds, BoostParams(num_rounds=5), target="x")
+    my = train(ds, BoostParams(num_rounds=5), target="y")
+    at = float(dense.times[-1])
+    a = predict_positions(mx, my, dense, at, (arena.width, arena.height))
+    b = predict_positions(mx, my, sparse, at, (arena.width, arena.height))
+    assert list(b) == [4, 17, 300]
+    assert list(b.values()) == list(a.values())
+
+
+def test_read_predictions_rejects_duplicate_id(tmp_path):
+    path = tmp_path / "predictions.csv"
+    path.write_text("station_id,pred_x,pred_y\n0,1.0,2.0\n3,1.0,2.0\n0,5.0,6.0\n")
+    with pytest.raises(PredictionError,
+                       match=r"predictions\.csv:4: duplicate station id 0"):
+        read_predictions(str(path))
+
+
+def test_read_predictions_rejects_negative_id(tmp_path):
+    path = tmp_path / "predictions.csv"
+    path.write_text("station_id,pred_x,pred_y\n0,1.0,2.0\n-2,1.0,2.0\n")
+    with pytest.raises(PredictionError,
+                       match=r"predictions\.csv:3: negative station id -2"):
+        read_predictions(str(path))
+
+
+@settings(max_examples=150, deadline=None)
+@given(preds=st.dictionaries(
+    st.integers(0, 10**12),
+    st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+              st.floats(allow_nan=False, allow_infinity=False)),
+    max_size=8))
+def test_predictions_roundtrip_property(tmp_path_factory, preds):
+    path = tmp_path_factory.mktemp("rt") / "predictions.csv"
+    write_predictions(preds, str(path))
+    back = read_predictions(str(path))
+    assert back == preds
+    assert list(back) == sorted(preds)
+    first = path.read_bytes()
+    write_predictions(back, str(path))
+    assert path.read_bytes() == first
