@@ -24,17 +24,17 @@ from .metrics import (Comparison, RunReport, StationStats, compare,
                       write_report)
 from .mobility import (ArenaConfig, Trace, quantize, read_trace,
                        simulate_random_waypoint, write_trace)
-from .netsim import (DeliveryRecord, Hop, SimConfig, Topology, TopologyConfig,
-                     build_topology, conservation_check, run_sim,
-                     write_records)
+from .netsim import (DeliveryRecord, Hop, SimConfig, SimResult, Topology,
+                     TopologyConfig, build_topology, conservation_check,
+                     run_sim, write_records)
 from .predictor import (BoostedModel, BoostParams, Dataset, FeatureWindow,
                         RegressionTree, build_dataset, evaluate_rmse,
                         load_model, predict, predict_positions,
                         read_predictions, save_model, train, train_matrix,
                         write_predictions)
 from .spatial import KDTree
-from .traffic import (Packet, TrafficParams, generate_flow, generate_workload,
-                      read_packets, write_packets)
+from .traffic import (PACKET_DTYPE, Packet, TrafficParams, as_workload,
+                      generate_flow, generate_workload)
 
 __version__ = "0.1.0"
 
@@ -43,21 +43,20 @@ __all__ = [
     "BoostParams", "ClusterAssignment", "ClusterHead", "ClusteringError",
     "Comparison", "ConfigError", "Dataset", "DatasetError", "DeliveryRecord",
     "FanetSimError", "FeatureWindow", "HeadSelection", "Hop", "KDTree",
-    "MetricsError", "Packet", "PairwiseTables", "PipelineConfig",
-    "PredictionError", "RegressionTree", "RunReport", "SelectionError",
-    "SimConfig", "SimulationError", "StationRadio",
-    "StationStats", "Topology", "TopologyConfig", "TopologyError", "Trace",
-    "TraceParseError", "TrafficParams", "TrainingError",
-    "WeightSweep", "bench_ch", "build_dataset", "build_pairwise",
-    "build_topology", "compare", "compute_report", "conservation_check",
-    "create_clusters", "elbow_curve", "evaluate_rmse", "exact_head",
-    "generate_flow", "generate_workload", "heuristic_score", "kmeans",
-    "knee_point", "knn_head", "load_config", "load_model", "predict",
+    "MetricsError", "Packet", "PACKET_DTYPE", "PairwiseTables",
+    "PipelineConfig", "PredictionError", "RegressionTree", "RunReport",
+    "SelectionError", "SimConfig", "SimResult", "SimulationError",
+    "StationRadio", "StationStats", "Topology", "TopologyConfig",
+    "TopologyError", "Trace", "TraceParseError", "TrafficParams",
+    "TrainingError", "WeightSweep", "as_workload", "bench_ch", "build_dataset",
+    "build_pairwise", "build_topology", "compare", "compute_report",
+    "conservation_check", "create_clusters", "elbow_curve", "evaluate_rmse",
+    "exact_head", "generate_flow", "generate_workload", "heuristic_score",
+    "kmeans", "knee_point", "knn_head", "load_config", "load_model", "predict",
     "predict_positions", "quantize", "read_clusters", "read_heads",
-    "read_packets", "read_predictions", "read_report",
-    "read_trace", "received_power", "run_sim", "save_config", "save_model",
-    "select_heads", "simulate_random_waypoint", "train", "train_matrix",
-    "weight_sweep", "write_clusters", "write_comparison", "write_heads",
-    "write_packets", "write_predictions", "write_records", "write_report",
-    "write_trace",
+    "read_predictions", "read_report", "read_trace", "received_power",
+    "run_sim", "save_config", "save_model", "select_heads",
+    "simulate_random_waypoint", "train", "train_matrix", "weight_sweep",
+    "write_clusters", "write_comparison", "write_heads", "write_predictions",
+    "write_records", "write_report", "write_trace",
 ]

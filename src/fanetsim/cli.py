@@ -72,6 +72,10 @@ def _fmt_opt(v, spec=".6g"):
     return "none" if v is None else format(v, spec)
 
 
+def _cell(v) -> str:
+    return "" if v is None else repr(v)
+
+
 def cmd_mobility(args) -> None:
     cfg, out = _prepare(args)
     trace = mobility.simulate_random_waypoint(cfg.arena_config())
@@ -83,7 +87,7 @@ def cmd_mobility(args) -> None:
 
 def cmd_train(args) -> None:
     cfg, out = _prepare(args)
-    trace = mobility.read_trace(_require(args.trace, "trace"))
+    trace = mobility.read_trace(_require(args.trace, "trace"), cfg.arena_config())
     dataset = predictor.build_dataset(
         trace, h=cfg.history_length, horizon=cfg.horizon,
         train_fraction=cfg.train_fraction)
@@ -104,7 +108,7 @@ def cmd_train(args) -> None:
 
 def cmd_predict(args) -> None:
     cfg, out = _prepare(args)
-    trace = mobility.read_trace(_require(args.trace, "trace"))
+    trace = mobility.read_trace(_require(args.trace, "trace"), cfg.arena_config())
     model_x = predictor.load_model(_require(args.model_x, "x model"))
     model_y = predictor.load_model(_require(args.model_y, "y model"))
     at_time = args.at if args.at is not None else float(trace.times[-1])
@@ -165,7 +169,7 @@ def cmd_heads(args) -> None:
 def cmd_run(args) -> None:
     cfg, out = _prepare(args)
     clustering_on = args.clustering == "on"
-    trace = mobility.read_trace(_require(args.trace, "trace"))
+    trace = mobility.read_trace(_require(args.trace, "trace"), cfg.arena_config())
     positions = {sid: (x, y) for sid, (x, y)
                  in zip(trace.station_ids, trace.positions[:, -1].tolist())}
 
@@ -188,15 +192,13 @@ def cmd_run(args) -> None:
         topo_cfg, positions, clusters=clusters, heads=heads,
         arena=(cfg.sim.area_width, cfg.sim.area_height))
     workload = traffic.generate_workload(trace.station_ids, cfg.traffic_params())
-    records = netsim.run_sim(topo, workload, horizon=cfg.duration)
-    audit = netsim.conservation_check(records, workload)
+    result = netsim.run_sim(topo, workload, horizon=cfg.duration)
+    audit = netsim.conservation_check(result, workload)
 
-    duration = max((p.creation_time for p in workload), default=1.0)
-    if duration <= 0:
-        duration = 1.0
-    report = metrics.compute_report(records, duration, mode=args.mode,
+    duration = float(workload["creation_time"].max(initial=0.0)) or 1.0
+    report = metrics.compute_report(result, duration, mode=args.mode,
                                     clustering=clustering_on)
-    netsim.write_records(records, os.path.join(out, RECORDS_FILE))
+    netsim.write_records(result, os.path.join(out, RECORDS_FILE))
     metrics.write_report(report, os.path.join(out, REPORT_CSV_FILE),
                          os.path.join(out, REPORT_JSON_FILE))
     agg = report.aggregates
@@ -234,34 +236,25 @@ def cmd_compare(args) -> None:
     metrics.write_comparison(comparisons, os.path.join(out, COMPARISON_FILE))
 
     sids = sorted(reports[0].stations)
+    units = {"delay_ms": "ms", "jitter_ms": "ms", "throughput_bps": "bytes/s"}
+    agg_lines = ["metric,label,mean,std"]
     for key in metrics.METRIC_KEYS:
         lines = ["station_id," + ",".join(labels)]
         for sid in sids:
-            cells = []
-            for rep in reports:
-                v = rep.stations[sid].metric(key) if sid in rep.stations else None
-                cells.append("" if v is None else repr(v))
-            lines.append(f"{sid}," + ",".join(cells))
+            lines.append(f"{sid}," + ",".join(
+                _cell(rep.stations[sid].metric(key) if sid in rep.stations else None)
+                for rep in reports))
         atomic_write_text(os.path.join(out, f"per_station_{key}.csv"),
                           "\n".join(lines) + "\n")
-
-    agg_lines = ["metric,label,mean,std"]
-    for key in metrics.METRIC_KEYS:
+        entries = []
         for label, rep in zip(labels, reports):
             agg = rep.aggregates[key]
-            agg_lines.append(
-                f"{key},{label},"
-                f"{'' if agg['mean'] is None else repr(agg['mean'])},"
-                f"{'' if agg['std'] is None else repr(agg['std'])}")
-    atomic_write_text(os.path.join(out, "aggregate_means.csv"),
-                      "\n".join(agg_lines) + "\n")
-
-    units = {"delay_ms": "ms", "jitter_ms": "ms", "throughput_bps": "bytes/s"}
-    for key in metrics.METRIC_KEYS:
-        entries = [(label, rep.aggregates[key]["mean"])
-                   for label, rep in zip(labels, reports)]
+            agg_lines.append(f"{key},{label},{_cell(agg['mean'])},{_cell(agg['std'])}")
+            entries.append((label, agg["mean"]))
         svg = _svg_bars(f"mean {key.replace('_', ' ')}", units[key], entries)
         atomic_write_text(os.path.join(out, f"{key}.svg"), svg)
+    atomic_write_text(os.path.join(out, "aggregate_means.csv"),
+                      "\n".join(agg_lines) + "\n")
 
     for comp in comparisons:
         parts = []

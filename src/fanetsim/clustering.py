@@ -269,8 +269,8 @@ def write_clusters(assignment: ClusterAssignment, path: str) -> None:
 
 
 def read_clusters(path: str) -> ClusterAssignment:
-    raw = load_json(path)
     try:
+        raw = load_json(path)
         ids = sorted(int(s) for s in raw["assignment"])
         labels = np.array([raw["assignment"][str(sid)] for sid in ids], dtype=np.intp)
         centroids = np.array(raw["centroids"], dtype=float)
@@ -282,6 +282,10 @@ def read_clusters(path: str) -> ClusterAssignment:
             no_knee=bool(raw["no_knee"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ClusteringError(f"malformed clusters file {path}: {exc}") from exc
+    if len(set(ids)) != len(ids):
+        raise ClusteringError(f"clusters file {path}: station ids collide as integers")
+    if not (np.isfinite(centroids).all() and np.isfinite(result.wcss)):
+        raise ClusteringError(f"clusters file {path}: non-finite centroid or wcss")
     if centroids.shape[0] != k:
         raise ClusteringError(f"clusters file {path}: centroid count != k")
     if labels.size and (labels.min() < 0 or labels.max() >= k):

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import MetricsError
 from .ioutil import atomic_write_json, atomic_write_text, load_json
+from .netsim import DELIVERED
 
 METRIC_KEYS = ("delay_ms", "jitter_ms", "throughput_bps")
 
@@ -59,60 +60,47 @@ class Comparison:
     per_station: dict[int, dict[str, float | None]]
 
 
-def _aggregate(values: list[float]) -> dict[str, float | None]:
-    if not values:
-        return {"mean": None, "std": None, "count": 0}
-    arr = np.array(values, dtype=float)
-    return {"mean": float(arr.mean()), "std": float(arr.std()), "count": int(arr.size)}
-
-
 def aggregate_stats(stations: dict[int, StationStats]) -> dict[str, dict[str, float | None]]:
     """Unweighted mean and population std across stations, skipping absent."""
     out = {}
     for key in METRIC_KEYS:
-        out[key] = _aggregate([
-            s.metric(key) for s in stations.values() if s.metric(key) is not None])
+        arr = np.array([v for s in stations.values() if (v := s.metric(key)) is not None],
+                       dtype=float)
+        out[key] = ({"mean": float(arr.mean()), "std": float(arr.std()), "count": arr.size}
+                    if arr.size else {"mean": None, "std": None, "count": 0})
     out["dropped"] = {"mean": None, "std": None,
                       "count": int(sum(s.dropped for s in stations.values()))}
     return out
 
 
-def compute_report(records, duration: float, mode: str | None = None,
+def compute_report(result, duration: float, mode: str | None = None,
                    clustering: bool | None = None) -> RunReport:
-    """Fold delivery records into a per-station report.
+    """Fold a netsim.SimResult into a per-station report.
 
     duration is the shared measurement window used for throughput; using one
     value across scenarios keeps their throughputs comparable.
     """
     if duration <= 0:
         raise MetricsError(f"duration must be > 0, got {duration}")
-    by_src: dict[int, list] = {}
-    for r in records:
-        by_src.setdefault(r.src, []).append(r)
+    sids, which = np.unique(result.src, return_inverse=True)
+    done = result.outcome == DELIVERED
+    dropped = np.bincount(which[~done], minlength=sids.size).tolist()
+    # each station's deliveries, in (delivery_time, packet_id) order
+    when = result.delivery_time[done]
+    order = np.lexsort((result.packet_id[done], when, which[done]))
+    cuts = np.cumsum(np.bincount(which[done], minlength=sids.size))[:-1]
+    delays = np.split(((when - result.send_time[done]) * 1e3)[order], cuts)
+    sizes = np.split(result.size[done][order], cuts)
 
     stations: dict[int, StationStats] = {}
-    for sid in sorted(by_src):
-        recs = by_src[sid]
-        delivered = [r for r in recs if not r.dropped]
-        dropped = len(recs) - len(delivered)
-        if not delivered:
-            stations[sid] = StationStats(
-                station_id=sid, delivered=0, dropped=dropped, delivered_bytes=0,
-                delay_ms=None, jitter_ms=None, throughput_bps=None)
+    for sid, d, nbytes, lost in zip(sids.tolist(), delays, map(int, map(np.sum, sizes)),
+                                    dropped):
+        if not d.size:
+            stations[sid] = StationStats(sid, 0, lost, 0, None, None, None)
             continue
-        delivered.sort(key=lambda r: (r.delivery_time, r.packet_id))
-        delays = np.array([
-            (r.delivery_time - r.send_time) * 1e3 for r in delivered])
-        if delays.size > 1:
-            jitter = float(np.mean(np.abs(np.diff(delays))))
-        else:
-            jitter = 0.0
-        nbytes = int(sum(r.size for r in delivered))
-        stations[sid] = StationStats(
-            station_id=sid, delivered=len(delivered), dropped=dropped,
-            delivered_bytes=nbytes, delay_ms=float(delays.mean()),
-            jitter_ms=jitter, throughput_bps=nbytes / duration)
-
+        jitter = float(np.mean(np.abs(np.diff(d)))) if d.size > 1 else 0.0
+        stations[sid] = StationStats(sid, d.size, lost, nbytes, float(d.mean()),
+                                     jitter, nbytes / duration)
     return RunReport(duration=duration, stations=stations,
                      aggregates=aggregate_stats(stations),
                      mode=mode, clustering=clustering)
@@ -151,10 +139,8 @@ def compare(a: RunReport, b: RunReport) -> Comparison:
                       per_station=per_station)
 
 
-def _stats_payload(s: StationStats) -> dict:
-    return {"delivered": s.delivered, "dropped": s.dropped,
-            "delivered_bytes": s.delivered_bytes, "delay_ms": s.delay_ms,
-            "jitter_ms": s.jitter_ms, "throughput_bps": s.throughput_bps}
+_STATS_KEYS = ("delivered", "dropped", "delivered_bytes", "delay_ms", "jitter_ms",
+               "throughput_bps")  # report.json's per-station fields, in file order
 
 
 def write_report(report: RunReport, csv_path: str, json_path: str) -> None:
@@ -173,23 +159,20 @@ def write_report(report: RunReport, csv_path: str, json_path: str) -> None:
         "clustering": report.clustering,
         "duration": report.duration,
         "aggregates": report.aggregates,
-        "stations": {str(sid): _stats_payload(s)
+        "stations": {str(sid): {k: getattr(s, k) for k in _STATS_KEYS}
                      for sid, s in sorted(report.stations.items())},
     }
     atomic_write_json(json_path, payload)
 
 
 def read_report(json_path: str) -> RunReport:
-    raw = load_json(json_path)
     try:
-        stations = {}
-        for sid_str, s in raw["stations"].items():
-            sid = int(sid_str)
-            stations[sid] = StationStats(
-                station_id=sid, delivered=int(s["delivered"]), dropped=int(s["dropped"]),
-                delivered_bytes=int(s["delivered_bytes"]),
-                delay_ms=s["delay_ms"], jitter_ms=s["jitter_ms"],
-                throughput_bps=s["throughput_bps"])
+        raw = load_json(json_path)
+        stations = {int(sid): StationStats(int(sid), **{k: s[k] for k in _STATS_KEYS})
+                    for sid, s in raw["stations"].items()}
+        for s in stations.values():
+            if not all(type(n) is int for n in (s.delivered, s.dropped, s.delivered_bytes)):
+                raise ValueError(f"station {s.station_id} counts are not all whole numbers")
         return RunReport(
             duration=float(raw["duration"]), stations=stations,
             aggregates=raw["aggregates"], mode=raw["mode"],

@@ -36,6 +36,9 @@ Horizon. Events at t <= horizon happen. A packet whose arrival, service end
 or delivery falls later is dropped with reason "horizon"; its path runs up
 to the sender of the hop it was on, so a late delivery keeps all but the
 server.
+
+Columns. run_sim reads a traffic.PACKET_DTYPE table and returns a SimResult,
+one column per field; DeliveryRecord rows exist only while it is read.
 """
 
 from __future__ import annotations
@@ -47,12 +50,17 @@ import operator
 from array import array
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, SimulationError, TopologyError
 from .ioutil import atomic_write_text
+from .traffic import as_workload
 
 MODES = ("centralized", "decentralized")
 LIGHT_SPEED_M_S = 3.0e8
-_HORIZON, _QUEUE, _DELIVERED = 0, 1, 2  # packet outcomes in run_sim
+# Codes of SimResult.outcome; a dropped packet's code indexes its reason.
+OUTCOMES = ("horizon", "queue", "delivered")
+_HORIZON, _QUEUE, DELIVERED = range(3)
 
 
 @dataclass(frozen=True)
@@ -119,6 +127,7 @@ class Topology:
 
 @dataclass(frozen=True, slots=True)
 class DeliveryRecord:
+    """One packet's outcome: a row of a SimResult."""
     packet_id: int
     src: int
     size: int
@@ -131,6 +140,43 @@ class DeliveryRecord:
     @property
     def hops(self) -> int:
         return len(self.path) - 1
+
+
+@dataclass(eq=False)
+class SimResult:
+    """Per-packet outcomes as columns, in packet_id order.
+
+    outcome is DELIVERED or the OUTCOMES index of the drop reason, and
+    delivery_time is nan for a dropped packet. walked maps each source to its
+    route's labels, station first; a packet's path is walked[src][:hops + 1].
+    """
+    packet_id: np.ndarray
+    src: np.ndarray
+    size: np.ndarray
+    send_time: np.ndarray
+    delivery_time: np.ndarray
+    outcome: np.ndarray
+    hops: np.ndarray
+    walked: dict[int, tuple[str, ...]]
+
+    def __len__(self) -> int:
+        return len(self.packet_id)
+
+    def __iter__(self):
+        return self._rows(slice(None))
+
+    def __getitem__(self, i: int) -> DeliveryRecord:
+        return next(self._rows([i]))
+
+    def _rows(self, at):
+        # .tolist() gives Python scalars; a numpy scalar's repr differs
+        columns = (self.packet_id, self.src, self.size, self.send_time,
+                   self.delivery_time, self.outcome, self.hops)
+        for pid, src, size, sent, when, code, hops in zip(*(c[at].tolist() for c in columns)):
+            done = code == DELIVERED
+            yield DeliveryRecord(pid, src, size, self.walked[src][:hops + 1], sent,
+                                 when if done else None, not done,
+                                 None if done else OUTCOMES[code])
 
 
 def _distance(a, b) -> float:
@@ -266,75 +312,67 @@ def _channel_order(topology: Topology) -> list[str]:
     return order
 
 
-def run_sim(topology: Topology, workload,
-            horizon: float | None = None) -> list[DeliveryRecord]:
-    """Run every packet to delivery or drop; returns records by packet_id.
+def run_sim(topology: Topology, workload, horizon: float | None = None) -> SimResult:
+    """Run every packet to delivery or drop.
 
-    A finite horizon cuts the run off and drops whatever is still in flight,
-    keeping conservation intact.
+    workload is a traffic.PACKET_DTYPE table or a list of Packets. A finite
+    horizon cuts the run off and drops whatever is still in flight, keeping
+    conservation intact.
     """
     cfg = topology.config
+    packets = as_workload(workload)
+    pid, src, size = packets["packet_id"], packets["src"], packets["size"]
+    created = packets["creation_time"]
+    for bad, problem in ((~np.isin(src, list(topology.paths)), "unknown source {src}"),
+                         (size <= 0, "non-positive size"),
+                         (~np.isfinite(created), "non-finite creation_time {t!r}")):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise SimulationError(f"packet {pid[i]}: " + problem.format(
+                src=src[i].item(), t=created[i].item()))
+
     order = _channel_order(topology)
     inbox: dict[str, list[int]] = {name: [] for name in order}
     # Per source, one leg per hop: (the hop channel's inbox, propagation
-    # time, the next hop channel's inbox or None, the path walked before the
-    # hop, the path walked after it).
-    routes = {}
-    for src, path in topology.paths.items():
-        walked = (path[0].src,) + tuple(hop.dst for hop in path)
-        routes[src] = tuple(
+    # time, the next hop channel's inbox or None).
+    routes, walked = {}, {}
+    for s, path in topology.paths.items():
+        walked[s] = (path[0].src,) + tuple(hop.dst for hop in path)
+        routes[s] = tuple(
             (inbox[hop.channel], hop.distance / cfg.propagation_speed,
-             inbox[path[k + 1].channel] if k + 1 < len(path) else None,
-             walked[:k + 1], walked[:k + 2])
+             inbox[path[k + 1].channel] if k + 1 < len(path) else None)
             for k, hop in enumerate(path))
-
-    packets = list(workload)
-    route = []  # per packet, its source's legs
-    for i, pkt in enumerate(packets):
-        legs = routes.get(pkt.src)
-        if legs is None:
-            raise SimulationError(f"packet {pkt.packet_id}: unknown source {pkt.src}")
-        if pkt.size <= 0:
-            raise SimulationError(f"packet {pkt.packet_id}: non-positive size")
-        if not math.isfinite(pkt.creation_time):
-            raise SimulationError(
-                f"packet {pkt.packet_id}: non-finite creation_time {pkt.creation_time!r}")
-        route.append(legs)
+    route = [routes[s] for s in src.tolist()]  # per packet, its source's legs
+    for i, legs in enumerate(route):
         legs[0][0].append(i)
 
     outcome, hop_idx, delivered_at = _sweep(
-        topology, order, inbox, packets, route,
+        topology, order, inbox, route, size, created,
         math.inf if horizon is None else horizon)
 
-    records = []
-    for i, pkt in enumerate(packets):
-        leg = route[i][hop_idx[i]]
-        if outcome[i] == _DELIVERED:
-            records.append(DeliveryRecord(
-                pkt.packet_id, pkt.src, pkt.size, leg[4], pkt.creation_time,
-                delivered_at[i], False))
-        else:
-            records.append(DeliveryRecord(
-                pkt.packet_id, pkt.src, pkt.size, leg[3], pkt.creation_time,
-                None, True, "queue" if outcome[i] == _QUEUE else "horizon"))
-    records.sort(key=operator.attrgetter("packet_id"))
-    return records
+    done = outcome == DELIVERED
+    by_id = np.argsort(pid, kind="stable")
+    return SimResult(
+        packet_id=pid[by_id], src=src[by_id], size=size[by_id],
+        send_time=created[by_id],
+        delivery_time=np.where(done, delivered_at, np.nan)[by_id],
+        outcome=outcome[by_id], hops=(hop_idx + done)[by_id], walked=walked)
 
 
 def _sweep(topology: Topology, order: list[str], inbox: dict[str, list[int]],
-           packets: list, route: list, limit: float):
+           route: list, size: np.ndarray, created: np.ndarray, limit: float):
     """One FIFO pass per channel in ``order``; each channel's inbox holds the
     indices of the packets arriving there and is emptied as it is served.
 
     Returns per packet its outcome, the index of the hop it ended on and its
-    delivery time (valid when delivered).
+    delivery time (valid when delivered), as arrays.
     """
     cfg = topology.config
-    n = len(packets)
-    bits = array("d", [pkt.size * 8.0 for pkt in packets])
+    n = len(route)
+    bits = array("d", (size * 8.0).tobytes())
     # Event columns (see the module docstring): event i < n is packet i's
     # creation-time arrival, later ids are service ends and forwarded arrivals.
-    ev_time = array("d", [pkt.creation_time for pkt in packets])
+    ev_time = array("d", created.astype(np.float64).tobytes())
     ev_parent = array("q", [-1]) * n
     ev_sub = array("q", range(n))
 
@@ -353,8 +391,8 @@ def _sweep(topology: Topology, order: list[str], inbox: dict[str, list[int]],
 
     at = array("d", ev_time)        # time of packet i's arrival at its current channel
     arrival = array("q", range(n))  # event id of that arrival
-    hop_idx = [0] * n
-    outcome = bytearray(n)          # _HORIZON, _QUEUE or _DELIVERED
+    hop_idx = bytearray(n)
+    outcome = bytearray(n)          # _HORIZON, _QUEUE or DELIVERED
     delivered_at = array("d", bytes(8 * n))
     cap = cfg.queue_capacity
     proc = cfg.processing_delay
@@ -402,7 +440,7 @@ def _sweep(topology: Topology, order: list[str], inbox: dict[str, list[int]],
             nxt = end + leg[1] + proc
             if leg[2] is None:
                 if nxt <= limit:
-                    outcome[i] = _DELIVERED
+                    outcome[i] = DELIVERED
                     delivered_at[i] = nxt
             else:
                 hop_idx[i] += 1
@@ -413,7 +451,8 @@ def _sweep(topology: Topology, order: list[str], inbox: dict[str, list[int]],
                 push_sub(0)
                 leg[2].append(i)
         waiting.clear()
-    return outcome, hop_idx, delivered_at
+    return (np.frombuffer(outcome, np.uint8), np.frombuffer(hop_idx, np.uint8),
+            np.frombuffer(delivered_at, np.float64))
 
 
 def _order_ties(waiting: list[int], at, arrival, precedes) -> None:
@@ -430,43 +469,49 @@ def _order_ties(waiting: list[int], at, arrival, precedes) -> None:
         lo = hi
 
 
-def conservation_check(records: list[DeliveryRecord], workload) -> dict:
-    """Hard accounting audit: sent == delivered + dropped, sane paths/times."""
-    sent = {p.packet_id for p in workload}
-    seen = [r.packet_id for r in records]
-    if len(seen) != len(set(seen)):
+def conservation_check(result: SimResult, workload) -> dict:
+    """Hard accounting audit: every packet sent ends exactly once, delivered
+    or dropped, with a sane delivery time, on a sane route."""
+    sent = as_workload(workload)
+    ids, sent_ids = result.packet_id, sent["packet_id"]
+    by_id, sent_by_id = np.argsort(ids, kind="stable"), np.argsort(sent_ids, kind="stable")
+    ordered = ids[by_id]
+    if (ordered[1:] == ordered[:-1]).any():
         raise SimulationError("duplicate packet_id in records")
-    if set(seen) != sent:
-        missing = sorted(sent - set(seen))[:5]
-        extra = sorted(set(seen) - sent)[:5]
-        raise SimulationError(
-            f"records do not match workload (missing {missing}, extra {extra})")
-    delivered = dropped = 0
-    by_reason: dict[str, int] = {}
-    srcs = {p.packet_id: p.src for p in workload}
-    for r in records:
-        if r.src != srcs[r.packet_id]:
-            raise SimulationError(f"packet {r.packet_id}: src mismatch")
-        if r.dropped:
-            dropped += 1
-            reason = r.drop_reason or "unknown"
-            by_reason[reason] = by_reason.get(reason, 0) + 1
-        else:
-            delivered += 1
-            if (r.delivery_time is None or not math.isfinite(r.delivery_time)
-                    or r.delivery_time < r.send_time):
-                raise SimulationError(f"packet {r.packet_id}: bad delivery time")
-            if len(r.path) < 2 or r.path[0] != str(r.src) or not r.path[-1].startswith("server"):
-                raise SimulationError(f"packet {r.packet_id}: bad path {r.path}")
-    if delivered + dropped != len(sent):
-        raise SimulationError("sent != delivered + dropped")
-    return {"sent": len(sent), "delivered": delivered, "dropped": dropped,
-            "by_reason": by_reason}
+    if not np.array_equal(ordered, sent_ids[sent_by_id]):
+        missing, extra = np.setdiff1d(sent_ids, ids), np.setdiff1d(ids, sent_ids)
+        raise SimulationError(f"records do not match workload (missing "
+                              f"{missing[:5].tolist()}, extra {extra[:5].tolist()})")
+    mismatch = result.src[by_id] != sent["src"][sent_by_id]
+    if mismatch.any():
+        raise SimulationError(f"packet {ordered[np.argmax(mismatch)]}: src mismatch")
+
+    sources, which = np.unique(result.src, return_inverse=True)
+    last_leg = []
+    for s in sources.tolist():
+        path = result.walked.get(s, ())
+        if len(path) < 2 or path[0] != str(s) or not path[-1].startswith("server"):
+            raise SimulationError(f"source {s}: bad path {path}")
+        last_leg.append(len(path) - 1)
+    done = result.outcome == DELIVERED
+    on_time = np.isfinite(result.delivery_time) & (result.delivery_time >= result.send_time)
+    for bad, problem in ((result.outcome > DELIVERED, "unknown outcome"),
+                         (done & ~on_time, "bad delivery time"),
+                         (done & (result.hops != np.array(last_leg)[which]),
+                          "delivered before the last hop")):
+        if bad.any():
+            raise SimulationError(f"packet {ids[np.argmax(bad)]}: {problem}")
+    counts = np.bincount(result.outcome, minlength=len(OUTCOMES)).tolist()
+    return {"sent": len(ids), "delivered": counts[DELIVERED],
+            "dropped": len(ids) - counts[DELIVERED],
+            "by_reason": {OUTCOMES[c]: k for c, k in enumerate(counts[:DELIVERED]) if k}}
 
 
-def write_records(records: list[DeliveryRecord], path: str) -> None:
-    lines = ["packet_id,src,hops,send_time,delivery_time,dropped"]
-    for r in records:
-        dt = "" if r.delivery_time is None else repr(r.delivery_time)
-        lines.append(f"{r.packet_id},{r.src},{r.hops},{r.send_time!r},{dt},{int(r.dropped)}")
+def write_records(result: SimResult, path: str) -> None:
+    done = (result.outcome == DELIVERED).tolist()
+    rows = zip(map(str, result.packet_id.tolist()), map(str, result.src.tolist()),
+               map(str, result.hops.tolist()), map(repr, result.send_time.tolist()),
+               [repr(t) if d else "" for t, d in zip(result.delivery_time.tolist(), done)],
+               ["0" if d else "1" for d in done])
+    lines = ["packet_id,src,hops,send_time,delivery_time,dropped", *map(",".join, rows)]
     atomic_write_text(path, "\n".join(lines) + "\n")

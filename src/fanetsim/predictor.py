@@ -13,7 +13,7 @@ plus the finite-difference velocity at the newest lag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -531,32 +531,12 @@ def save_model(model: BoostedModel, path: str) -> None:
         "target": model.target,
         "base_prediction": model.base_prediction,
         "feature_schema": model.feature_schema,
-        "params": {
-            "max_depth": model.params.max_depth,
-            "learning_rate": model.params.learning_rate,
-            "colsample": model.params.colsample,
-            "subsample": model.params.subsample,
-            "num_rounds": model.params.num_rounds,
-            "early_stop_patience": model.params.early_stop_patience,
-            "min_samples_leaf": model.params.min_samples_leaf,
-            "seed": model.params.seed,
-        },
-        "window": None if model.window is None else {
-            "history_length": model.window.history_length,
-            "horizon": model.window.horizon,
-        },
+        "params": asdict(model.params),
+        "window": None if model.window is None else asdict(model.window),
         "train_rmse": model.train_rmse,
         "val_rmse": model.val_rmse,
-        "trees": [
-            {
-                "feature": t.feature.tolist(),
-                "threshold": t.threshold.tolist(),
-                "left": t.left.tolist(),
-                "right": t.right.tolist(),
-                "value": t.value.tolist(),
-            }
-            for t in model.trees
-        ],
+        "trees": [{f.name: getattr(t, f.name).tolist() for f in fields(t)}
+                  for t in model.trees],
     }
     atomic_write_json(path, payload)
 

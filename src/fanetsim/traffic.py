@@ -3,19 +3,23 @@
 Packet sizes are normal draws rounded to whole bytes and redrawn until they
 fall inside [min_size, max_size]; inter-arrival gaps are exponential. Every
 station consumes an independent RNG substream keyed by (seed, station_id).
+
+A workload is one structured array of PACKET_DTYPE, one row per packet,
+ordered by (creation_time, packet_id). generate_flow returns one station's
+flow as Packet objects; as_workload turns such a list into a workload.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .ioutil import atomic_write_text
 
 _MAX_REDRAW_PASSES = 1000
+PACKET_DTYPE = np.dtype([("packet_id", np.int64), ("src", np.int64),
+                         ("size", np.int64), ("creation_time", np.float64)])
 
 
 @dataclass(frozen=True)
@@ -70,13 +74,9 @@ def _draw_sizes(rng: np.random.Generator, params: TrafficParams, n: int) -> np.n
     raise ConfigError("packet size bounds reject nearly every draw; widen them")
 
 
-def generate_flow(station_id: int, params: TrafficParams, seed: int | None = None) -> list[Packet]:
-    """Deterministic flow for one station.
-
-    The station substream hashes (seed, station_id), so flows are independent
-    of each other and of how many stations exist. Sizes are drawn first, then
-    inter-arrival gaps; creation times are the gap cumulative sum.
-    """
+def _draw_flow(station_id: int, params: TrafficParams,
+               seed: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """One station's packet sizes and creation times."""
     if station_id < 0:
         raise ConfigError(f"station_id must be >= 0, got {station_id}")
     master = params.seed if seed is None else seed
@@ -84,51 +84,43 @@ def generate_flow(station_id: int, params: TrafficParams, seed: int | None = Non
     n = params.packets_per_station
     sizes = _draw_sizes(rng, params, n)
     gaps = rng.exponential(params.mean_interarrival, n)
-    times = np.cumsum(gaps)
-    return [
-        Packet(packet_id(station_id, i), station_id, int(sizes[i]), float(times[i]))
-        for i in range(n)
-    ]
+    return sizes, np.cumsum(gaps)
 
 
-def generate_workload(station_ids, params: TrafficParams, seed: int | None = None) -> list[Packet]:
-    """Flows for every station, merged and sorted by (creation_time, id)."""
+def generate_flow(station_id: int, params: TrafficParams, seed: int | None = None) -> list[Packet]:
+    """Deterministic flow for one station.
+
+    The station substream hashes (seed, station_id), so flows are independent
+    of each other and of how many stations exist. Sizes are drawn first, then
+    inter-arrival gaps; creation times are the gap cumulative sum.
+    """
+    sizes, times = _draw_flow(station_id, params, seed)
+    return [Packet(packet_id(station_id, i), station_id, size, t)
+            for i, (size, t) in enumerate(zip(sizes.tolist(), times.tolist()))]
+
+
+def generate_workload(station_ids, params: TrafficParams, seed: int | None = None) -> np.ndarray:
+    """Flows for every station in one PACKET_DTYPE table, sorted by
+    (creation_time, packet_id)."""
     ids = sorted(station_ids)
     if not ids:
         raise ConfigError("no stations to generate traffic for")
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate station ids in workload")
-    packets: list[Packet] = []
-    for sid in ids:
-        packets.extend(generate_flow(sid, params, seed))
-    packets.sort(key=lambda p: (p.creation_time, p.packet_id))
-    return packets
+    n = params.packets_per_station
+    packets = np.empty(len(ids) * n, dtype=PACKET_DTYPE)
+    for k, sid in enumerate(ids):
+        flow = packets[k * n:(k + 1) * n]
+        flow["size"], flow["creation_time"] = _draw_flow(sid, params, seed)
+        flow["packet_id"] = packet_id(sid, np.arange(n))
+        flow["src"] = sid
+    return packets[np.lexsort((packets["packet_id"], packets["creation_time"]))]
 
 
-def write_packets(packets: list[Packet], path: str) -> None:
-    lines = ["packet_id,src,size,creation_time"]
-    for p in packets:
-        lines.append(f"{p.packet_id},{p.src},{p.size},{p.creation_time!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def read_packets(path: str) -> list[Packet]:
-    packets = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "packet_id,src,size,creation_time":
-            raise ConfigError(f"{path}: unexpected workload header: {header!r}")
-        for lineno, raw in enumerate(fh, start=2):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                pid, src, size, t = raw.split(",")
-                pkt = Packet(int(pid), int(src), int(size), float(t))
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: malformed workload row {raw!r}") from exc
-            if not math.isfinite(pkt.creation_time):
-                raise ConfigError(
-                    f"{path}:{lineno}: non-finite creation_time in row {raw!r}")
-            packets.append(pkt)
-    return packets
+def as_workload(packets) -> np.ndarray:
+    """The PACKET_DTYPE table of a Packet list, in list order; a table is
+    returned as it is."""
+    if isinstance(packets, np.ndarray):
+        return packets
+    return np.array([(p.packet_id, p.src, p.size, p.creation_time) for p in packets],
+                    dtype=PACKET_DTYPE)

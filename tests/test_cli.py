@@ -9,6 +9,7 @@ import collections
 import dataclasses
 import filecmp
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -234,6 +235,32 @@ def test_predict_clamps_to_configured_arena(tmp_path):
     assert len(preds) == 10
     assert max(coords) > 500.0
     assert all(0.0 <= v <= 2000.0 for v in coords)
+
+
+def test_stages_check_the_trace_against_the_configured_arena(tmp_path, capsys):
+    # a 2000 m trace used to be read under a 500 m config without a word
+    wide = dataclasses.replace(
+        small_config(), duration=60.0,
+        sim=dataclasses.replace(SimConfig(), area_width=2000.0, area_height=2000.0,
+                                num_nodes=10))
+    narrow = dataclasses.replace(wide, sim=dataclasses.replace(wide.sim, area_width=500.0,
+                                                               area_height=500.0))
+    save_config(wide, str(tmp_path / "wide.ini"))
+    save_config(narrow, str(tmp_path / "narrow.ini"))
+    trace = str(tmp_path / "trace.csv")
+    assert cli.main(["mobility", "--config", str(tmp_path / "wide.ini"),
+                     "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "narrow"
+    common = ["--config", str(tmp_path / "narrow.ini"), "--out", str(out), "--trace", trace]
+    for argv in (["train", *common],
+                 ["predict", *common, "--model-x", "x.json", "--model-y", "y.json"],
+                 ["run", *common, "--mode", "centralized", "--clustering", "off"]):
+        assert cli.main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert re.search(r"trace\.csv:\d+: station \d+ leaves the 500.0x500.0 arena", err), err
+    assert not (out / "model_x.json").exists()
+    assert not (out / "model_y.json").exists()
 
 
 def test_run_demands_clusters_when_needed(chain, tmp_path, capsys):

@@ -1,4 +1,6 @@
 import itertools
+import json
+import math
 
 import numpy as np
 import pytest
@@ -162,4 +164,46 @@ def test_clusters_roundtrip(tmp_path):
     assert back == res
     with pytest.raises(ClusteringError):
         path.write_text("{}")
+        read_clusters(str(path))
+
+
+def _clusters_payload(tmp_path):
+    res = create_clusters({i: (10.0 * i, 5.0 * (i % 3)) for i in range(6)}, seed=1,
+                          fixed_k=2)
+    path = tmp_path / "clusters.json"
+    write_clusters(res, str(path))
+    return path, json.loads(path.read_text())
+
+
+def test_read_clusters_rejects_ids_that_collide_as_integers(tmp_path):
+    # "1" and "01" both load as station 1; build_topology would fail later
+    # without naming the file
+    path, payload = _clusters_payload(tmp_path)
+    payload["assignment"]["01"] = payload["assignment"]["1"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ClusteringError, match=f"{path}: station ids collide"):
+        read_clusters(str(path))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_read_clusters_rejects_non_finite_centroid(tmp_path, bad):
+    path, payload = _clusters_payload(tmp_path)
+    payload["centroids"][1][0] = bad
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ClusteringError, match=f"{path}: non-finite centroid"):
+        read_clusters(str(path))
+
+
+def test_read_clusters_rejects_infinite_wcss(tmp_path):
+    path, payload = _clusters_payload(tmp_path)
+    payload["wcss"] = math.inf
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ClusteringError, match=f"{path}: non-finite centroid or wcss"):
+        read_clusters(str(path))
+
+
+def test_read_clusters_rejects_non_json(tmp_path):
+    path = tmp_path / "clusters.json"
+    path.write_text('{"k": 2,')
+    with pytest.raises(ClusteringError, match=f"malformed clusters file {path}"):
         read_clusters(str(path))

@@ -2,16 +2,22 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanetsim import (
     DeliveryRecord,
     MetricsError,
+    RunReport,
+    StationStats,
     compare,
     compute_report,
     read_report,
     write_comparison,
     write_report,
 )
+from fanetsim.metrics import aggregate_stats
+from simtables import random_table, table_of, take
 
 
 def rec(pid, src, size=1000, send=0.0, deliver=None, reason=None):
@@ -22,6 +28,10 @@ def rec(pid, src, size=1000, send=0.0, deliver=None, reason=None):
         drop_reason=reason)
 
 
+def report_of(records, duration, **labels):
+    return compute_report(table_of(records), duration, **labels)
+
+
 def test_jitter_mean_absolute_consecutive_difference():
     # delays in delivery order: 2 ms, 4 ms, 3 ms -> |2| and |-1| average 1.5
     records = [
@@ -29,7 +39,7 @@ def test_jitter_mean_absolute_consecutive_difference():
         rec(1, 0, send=0.0, deliver=0.004),
         rec(2, 0, send=0.004, deliver=0.007),
     ]
-    report = compute_report(records, duration=1.0)
+    report = report_of(records, duration=1.0)
     stats = report.stations[0]
     assert stats.delay_ms == pytest.approx(3.0)
     assert stats.jitter_ms == pytest.approx(1.5)
@@ -43,11 +53,11 @@ def test_jitter_uses_delivery_order_not_packet_order():
         rec(1, 0, send=0.0, deliver=0.004),
         rec(0, 0, send=0.0, deliver=0.002),
     ]
-    assert compute_report(records, 1.0).stations[0].jitter_ms == pytest.approx(1.5)
+    assert report_of(records, 1.0).stations[0].jitter_ms == pytest.approx(1.5)
 
 
 def test_single_delivery_has_zero_jitter():
-    report = compute_report([rec(0, 3, deliver=0.001)], duration=2.0)
+    report = report_of([rec(0, 3, deliver=0.001)], duration=2.0)
     assert report.stations[3].jitter_ms == 0.0
     assert report.stations[3].delay_ms == pytest.approx(1.0)
 
@@ -58,7 +68,7 @@ def test_station_with_no_deliveries_is_absent_from_aggregates():
         rec(1_000_000, 1, reason="queue"),
         rec(1_000_001, 1, reason="queue"),
     ]
-    report = compute_report(records, duration=1.0)
+    report = report_of(records, duration=1.0)
     starved = report.stations[1]
     assert starved.delay_ms is None
     assert starved.jitter_ms is None
@@ -73,14 +83,14 @@ def test_station_with_no_deliveries_is_absent_from_aggregates():
 def test_throughput_is_bytes_over_shared_duration():
     records = [rec(0, 0, size=500, deliver=0.001),
                rec(1, 0, size=700, deliver=0.002)]
-    report = compute_report(records, duration=4.0)
+    report = report_of(records, duration=4.0)
     assert report.stations[0].throughput_bps == pytest.approx(300.0)
     assert report.stations[0].delivered_bytes == 1200
 
 
 def test_aggregate_mean_and_population_std():
     records = [rec(i, i, deliver=0.001 * (i + 1)) for i in range(3)]
-    report = compute_report(records, duration=1.0)
+    report = report_of(records, duration=1.0)
     agg = report.aggregates["delay_ms"]
     assert agg["mean"] == pytest.approx(2.0)
     assert agg["std"] == pytest.approx(0.816496580927726, rel=1e-12)
@@ -89,17 +99,17 @@ def test_aggregate_mean_and_population_std():
 
 def test_compute_report_validation_and_labels():
     with pytest.raises(MetricsError):
-        compute_report([], duration=0.0)
-    report = compute_report([rec(0, 0, deliver=0.001)], 1.0,
+        report_of([], duration=0.0)
+    report = report_of([rec(0, 0, deliver=0.001)], 1.0,
                             mode="decentralized", clustering=False)
     assert report.label() == "decentralized-nonclustered"
-    assert compute_report([], 1.0).label() == "run"
+    assert report_of([], 1.0).label() == "run"
 
 
 def test_compare_percentages():
-    a = compute_report([rec(0, 0, deliver=0.002), rec(1, 1, deliver=0.002)], 1.0,
+    a = report_of([rec(0, 0, deliver=0.002), rec(1, 1, deliver=0.002)], 1.0,
                        mode="centralized", clustering=True)
-    b = compute_report([rec(0, 0, deliver=0.001), rec(1, 1, deliver=0.003)], 1.0,
+    b = report_of([rec(0, 0, deliver=0.001), rec(1, 1, deliver=0.003)], 1.0,
                        mode="decentralized", clustering=True)
     cmpab = compare(a, b)
     assert cmpab.label_a == "centralized-clustered"
@@ -113,8 +123,8 @@ def test_compare_percentages():
 
 
 def test_compare_zero_base_flag():
-    a = compute_report([rec(0, 0, reason="queue")], 1.0)
-    b = compute_report([rec(0, 0, deliver=0.001)], 1.0)
+    a = report_of([rec(0, 0, reason="queue")], 1.0)
+    b = report_of([rec(0, 0, deliver=0.001)], 1.0)
     comp = compare(a, b)
     # station 0 delivered nothing in a: delay means are absent, not zero
     assert comp.percent["delay_ms"] is None
@@ -122,13 +132,13 @@ def test_compare_zero_base_flag():
     assert comp.means["throughput_bps"][0] is None
 
     with pytest.raises(MetricsError):
-        compare(a, compute_report([rec(0, 5, deliver=0.001)], 1.0))
+        compare(a, report_of([rec(0, 5, deliver=0.001)], 1.0))
 
 
 def test_report_roundtrip(tmp_path):
     records = [rec(0, 0, deliver=0.002), rec(1, 0, deliver=0.004),
                rec(1_000_000, 1, reason="queue")]
-    report = compute_report(records, 2.5, mode="centralized", clustering=False)
+    report = report_of(records, 2.5, mode="centralized", clustering=False)
     csv_path = tmp_path / "report.csv"
     json_path = tmp_path / "report.json"
     write_report(report, str(csv_path), str(json_path))
@@ -151,9 +161,9 @@ def test_report_roundtrip(tmp_path):
 
 
 def test_write_comparison(tmp_path):
-    a = compute_report([rec(0, 0, deliver=0.002)], 1.0, mode="centralized",
+    a = report_of([rec(0, 0, deliver=0.002)], 1.0, mode="centralized",
                        clustering=True)
-    b = compute_report([rec(0, 0, deliver=0.001)], 1.0, mode="decentralized",
+    b = report_of([rec(0, 0, deliver=0.001)], 1.0, mode="decentralized",
                        clustering=True)
     path = tmp_path / "comparison.json"
     write_comparison([compare(a, b)], str(path))
@@ -163,3 +173,97 @@ def test_write_comparison(tmp_path):
     assert entry["b"] == "decentralized-clustered"
     assert entry["percent"]["delay_ms"] == pytest.approx(-50.0)
     assert entry["per_station"]["0"]["delay_ms"] == pytest.approx(-50.0)
+
+
+def reference_compute_report(records, duration):
+    """compute_report as it was over DeliveryRecord objects, kept as its oracle."""
+    by_src = {}
+    for r in records:
+        by_src.setdefault(r.src, []).append(r)
+    stations = {}
+    for sid in sorted(by_src):
+        recs = by_src[sid]
+        delivered = [r for r in recs if not r.dropped]
+        dropped = len(recs) - len(delivered)
+        if not delivered:
+            stations[sid] = StationStats(sid, 0, dropped, 0, None, None, None)
+            continue
+        delivered.sort(key=lambda r: (r.delivery_time, r.packet_id))
+        delays = np.array([(r.delivery_time - r.send_time) * 1e3 for r in delivered])
+        jitter = float(np.mean(np.abs(np.diff(delays)))) if delays.size > 1 else 0.0
+        nbytes = int(sum(r.size for r in delivered))
+        stations[sid] = StationStats(sid, len(delivered), dropped, nbytes,
+                                     float(delays.mean()), jitter, nbytes / duration)
+    return RunReport(duration, stations, aggregate_stats(stations))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_compute_report_matches_per_record_fold(seed):
+    table = random_table(seed)
+    report = compute_report(table, 7.5)
+    assert report == reference_compute_report(list(table), 7.5)
+    # the fold does not lean on packet_id order, whatever order the rows come in
+    shuffled = take(table, np.random.default_rng(seed).permutation(len(table)))
+    assert compute_report(shuffled, 7.5) == report
+    delivered = sorted(s.delivered for s in report.stations.values())
+    assert delivered[:2] == [0, 1] and delivered[2] > 1
+    assert any(np.unique(table.delivery_time[table.src == sid]).size
+               < (table.src == sid).sum() for sid in report.stations
+               if report.stations[sid].delivered > 1)  # equal delivery times
+
+
+def test_report_fields_are_python_scalars():
+    report = compute_report(random_table(3), 2.0)
+    assert all("np." not in repr(stats) for stats in report.stations.values())
+
+
+_maybe_float = st.none() | st.floats(min_value=0.0, max_value=1e12)
+_station = st.builds(
+    lambda d, j, t, n, k, b: (n, k, b, d, j, t), _maybe_float, _maybe_float,
+    _maybe_float, st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**9))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stations=st.dictionaries(st.integers(0, 10**4), _station, max_size=6),
+       duration=st.floats(min_value=1e-3, max_value=1e6),
+       mode=st.sampled_from([None, "centralized", "decentralized"]),
+       clustering=st.sampled_from([None, True, False]))
+def test_report_roundtrip_property(tmp_path_factory, stations, duration, mode, clustering):
+    stats = {sid: StationStats(sid, *fields) for sid, fields in stations.items()}
+    report = RunReport(duration, stats, aggregate_stats(stats), mode, clustering)
+    out = tmp_path_factory.mktemp("report")
+    write_report(report, str(out / "a.csv"), str(out / "a.json"))
+    write_report(read_report(str(out / "a.json")), str(out / "b.csv"), str(out / "b.json"))
+    assert (out / "a.json").read_bytes() == (out / "b.json").read_bytes()
+    assert (out / "a.csv").read_bytes() == (out / "b.csv").read_bytes()
+
+
+def _written_report(tmp_path):
+    report = report_of([rec(0, 0, deliver=0.002), rec(1_000_000, 1, reason="queue")], 1.0)
+    path = tmp_path / "report.json"
+    write_report(report, str(tmp_path / "report.csv"), str(path))
+    return path, json.loads(path.read_text())
+
+
+def test_read_report_rejects_missing_key(tmp_path):
+    path, payload = _written_report(tmp_path)
+    del payload["stations"]["1"]["dropped"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(MetricsError, match=f"{path}.*'dropped'"):
+        read_report(str(path))
+
+
+@pytest.mark.parametrize("delivered", [1.5, "1", True, None])
+def test_read_report_rejects_non_int_delivered(tmp_path, delivered):
+    path, payload = _written_report(tmp_path)
+    payload["stations"]["0"]["delivered"] = delivered
+    path.write_text(json.dumps(payload))
+    with pytest.raises(MetricsError, match=f"{path}.*whole numbers"):
+        read_report(str(path))
+
+
+def test_read_report_rejects_non_json(tmp_path):
+    path, _ = _written_report(tmp_path)
+    path.write_text('{"mode": "centralized",')
+    with pytest.raises(MetricsError, match=f"malformed report file {path}"):
+        read_report(str(path))

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from fanetsim import (
+    PACKET_DTYPE,
     ConfigError,
+    Packet,
     TrafficParams,
+    as_workload,
     generate_flow,
     generate_workload,
 )
-from fanetsim.traffic import packet_id, read_packets, write_packets
+from fanetsim.traffic import packet_id
 
 
 def test_params_validation():
@@ -80,14 +83,15 @@ def test_flow_determinism_and_substreams():
     # a station's flow does not depend on which other stations exist
     wide = generate_workload([0, 1, 2, 3], params)
     narrow = generate_workload([2], params)
-    assert [p for p in wide if p.src == 2] == narrow
+    assert np.array_equal(wide[wide["src"] == 2], narrow)
 
 
 def test_workload_merge_order():
     params = TrafficParams(packets_per_station=50, seed=4)
     workload = generate_workload([3, 0, 1], params)
+    assert workload.dtype == PACKET_DTYPE
     assert len(workload) == 150
-    keys = [(p.creation_time, p.packet_id) for p in workload]
+    keys = list(zip(workload["creation_time"].tolist(), workload["packet_id"].tolist()))
     assert keys == sorted(keys)
     with pytest.raises(ConfigError):
         generate_workload([1, 1], params)
@@ -95,39 +99,19 @@ def test_workload_merge_order():
         generate_workload([], params)
 
 
-def test_packets_roundtrip(tmp_path):
-    params = TrafficParams(packets_per_station=30, seed=5)
-    workload = generate_workload([0, 1], params)
-    path = tmp_path / "packets.csv"
-    write_packets(workload, str(path))
-    assert read_packets(str(path)) == workload
-    lines = path.read_text().splitlines()
-    assert lines[0] == "packet_id,src,size,creation_time"
-    assert len(lines) == 61
+@pytest.mark.parametrize("seed", range(5))
+def test_workload_is_the_sorted_merge_of_the_flows(seed):
+    # the packet-object merge generate_workload replaced, kept as its oracle
+    params = TrafficParams(packets_per_station=60, mean_interarrival=0.01, seed=seed)
+    ids = [7, 0, 3, 12]
+    packets = [p for sid in sorted(ids) for p in generate_flow(sid, params)]
+    packets.sort(key=lambda p: (p.creation_time, p.packet_id))
+    assert np.array_equal(generate_workload(ids, params), as_workload(packets))
 
 
-HEADER = "packet_id,src,size,creation_time\n"
-
-
-@pytest.mark.parametrize("row", ["1,0,1024", "1,0,1024,0.5,9", "x,0,1024,0.5",
-                                 "1,0,1024.5,0.5", "1,0,1024,soon"])
-def test_read_packets_malformed_row_names_file_and_line(tmp_path, row):
-    path = tmp_path / "packets.csv"
-    path.write_text(HEADER + "0,0,512,0.25\n\n" + row + "\n")
-    with pytest.raises(ConfigError, match=r"packets\.csv:4: malformed workload row"):
-        read_packets(str(path))
-
-
-@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
-def test_read_packets_rejects_non_finite_creation_time(tmp_path, t):
-    path = tmp_path / "packets.csv"
-    path.write_text(HEADER + f"0,0,512,0.25\n1,0,512,{t}\n")
-    with pytest.raises(ConfigError, match=r"packets\.csv:3: non-finite creation_time"):
-        read_packets(str(path))
-
-
-def test_read_packets_bad_header_names_file(tmp_path):
-    path = tmp_path / "packets.csv"
-    path.write_text("id,src,size,t\n")
-    with pytest.raises(ConfigError, match=r"packets\.csv: unexpected workload header"):
-        read_packets(str(path))
+def test_as_workload_keeps_list_order():
+    packets = [Packet(5, 0, 100, 1.0), Packet(2, 1, 200, 1.0), Packet(9, 0, 300, 0.5)]
+    table = as_workload(packets)
+    assert table["packet_id"].tolist() == [5, 2, 9]  # list order is kept
+    assert as_workload(table) is table
+    assert generate_workload([0], TrafficParams(packets_per_station=0)).size == 0
