@@ -15,7 +15,7 @@ from .errors import (BenchmarkError, ClusteringError, ConfigError,
                      PredictionError, SelectionError, SimulationError,
                      TopologyError, TraceParseError, TrainingError)
 from .headselect import (BenchResult, ClusterHead, HeadSelection,
-                         PairwiseTables, StationRadio, WeightSweep, bench_ch,
+                         PairwiseSums, StationRadio, WeightSweep, bench_ch,
                          build_pairwise, exact_head, heuristic_score,
                          knn_head, read_heads, received_power, select_heads,
                          weight_sweep, write_heads)
@@ -43,7 +43,7 @@ __all__ = [
     "BoostParams", "ClusterAssignment", "ClusterHead", "ClusteringError",
     "Comparison", "ConfigError", "Dataset", "DatasetError", "DeliveryRecord",
     "FanetSimError", "FeatureWindow", "HeadSelection", "Hop", "KDTree",
-    "MetricsError", "Packet", "PACKET_DTYPE", "PairwiseTables",
+    "MetricsError", "Packet", "PACKET_DTYPE", "PairwiseSums",
     "PipelineConfig", "PredictionError", "RegressionTree", "RunReport",
     "SelectionError", "SimConfig", "SimResult", "SimulationError",
     "StationRadio", "StationStats", "Topology", "TopologyConfig",

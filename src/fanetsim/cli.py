@@ -72,10 +72,6 @@ def _fmt_opt(v, spec=".6g"):
     return "none" if v is None else format(v, spec)
 
 
-def _cell(v) -> str:
-    return "" if v is None else repr(v)
-
-
 def cmd_mobility(args) -> None:
     cfg, out = _prepare(args)
     trace = mobility.simulate_random_waypoint(cfg.arena_config())
@@ -242,14 +238,15 @@ def cmd_compare(args) -> None:
         lines = ["station_id," + ",".join(labels)]
         for sid in sids:
             lines.append(f"{sid}," + ",".join(
-                _cell(rep.stations[sid].metric(key) if sid in rep.stations else None)
+                metrics.csv_cell(rep.stations[sid].metric(key) if sid in rep.stations else None)
                 for rep in reports))
         atomic_write_text(os.path.join(out, f"per_station_{key}.csv"),
                           "\n".join(lines) + "\n")
         entries = []
         for label, rep in zip(labels, reports):
             agg = rep.aggregates[key]
-            agg_lines.append(f"{key},{label},{_cell(agg['mean'])},{_cell(agg['std'])}")
+            agg_lines.append(f"{key},{label},{metrics.csv_cell(agg['mean'])},"
+                             f"{metrics.csv_cell(agg['std'])}")
             entries.append((label, agg["mean"]))
         svg = _svg_bars(f"mean {key.replace('_', ' ')}", units[key], entries)
         atomic_write_text(os.path.join(out, f"{key}.svg"), svg)

@@ -1,6 +1,7 @@
 """Cluster-head election.
 
-Candidates are ranked from pairwise distance and received-power tables. Four
+Candidates are ranked from per-candidate sums of pairwise distance and
+received power, all computed by one row-blocked kernel (_pairwise_sums). Four
 routes to a head are provided and cross-checked in tests: the heuristic mean
 power-minus-distance score, exact enumeration of the weighted objective, a
 normalized weight sweep, and a k-nearest-neighbor approximation that scores
@@ -42,16 +43,17 @@ class StationRadio:
 
 
 @dataclass(frozen=True)
-class PairwiseTables:
-    """Distance and received-power tables over one cluster.
-
-    Rows follow station_ids, sorted ascending; both diagonals are zero, so a
-    plain row sum is already the sum over j != i. With ids ascending, numpy's
+class PairwiseSums:
+    """Sums over j != i of distance and received power per candidate i, and
+    the (min, max) of each table off its diagonal ((inf, -inf) for one
+    station). Entries follow station_ids, sorted ascending, so numpy's
     first-occurrence argmin/argmax gives the lowest-id tie-break for free.
     """
     station_ids: list[int]
-    d: np.ndarray
-    p: np.ndarray
+    d_sum: np.ndarray
+    p_sum: np.ndarray
+    d_range: tuple[float, float]
+    p_range: tuple[float, float]
 
     @property
     def size(self) -> int:
@@ -100,30 +102,57 @@ def received_power(tx: StationRadio, rx: StationRadio) -> float:
     return tx.base_power - 10.0 * PATH_LOSS_EXPONENT * math.log10(d / REFERENCE_DISTANCE_M)
 
 
-def _tables_from_arrays(ids: list[int], pos: np.ndarray, power: np.ndarray) -> PairwiseTables:
+def _pairwise_sums(ids: list[int], pos: np.ndarray, power: np.ndarray) -> PairwiseSums:
+    """The one place pairwise distance and received power (as received_power,
+    candidate i transmitting) are computed. The tables are built 4 MiB of
+    rows at a time (724 stations fit in one block), each block reduced to
+    row sums and off-diagonal ranges, so memory beyond a block is O(M).
+    """
+    m = pos.shape[0]
     sq = np.sum(pos * pos, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (pos @ pos.T)
-    np.maximum(d2, 0.0, out=d2)
-    d = np.sqrt(d2)
-    d = 0.5 * (d + d.T)
-    np.fill_diagonal(d, 0.0)
-    p = power[:, None] - 10.0 * PATH_LOSS_EXPONENT * np.log10(
-        np.maximum(d, REFERENCE_DISTANCE_M) / REFERENCE_DISTANCE_M)
-    np.fill_diagonal(p, 0.0)
-    return PairwiseTables(station_ids=ids, d=d, p=p)
+    d_sum, p_sum = np.empty(m), np.empty(m)
+    d_range = p_range = (math.inf, -math.inf)
+    step = max(1, (4 * 1024 * 1024) // (8 * m))
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        t = sq[lo:hi, None] + sq[None, :] - 2.0 * (pos[lo:hi] @ pos.T)
+        np.maximum(t, 0.0, out=t)
+        np.sqrt(t, out=t)
+        diag = t.reshape(-1)[lo::m + 1]  # entries (i, lo + i): the j == i terms
+        diag[:] = 0.0
+        d_sum[lo:hi] = t.sum(axis=1)
+        d_range = _fold_offdiag_range(t, diag, d_range)
+        np.maximum(t, REFERENCE_DISTANCE_M, out=t)
+        t /= REFERENCE_DISTANCE_M
+        np.log10(t, out=t)
+        t *= 10.0 * PATH_LOSS_EXPONENT
+        np.subtract(power[lo:hi, None], t, out=t)
+        p_range = _fold_offdiag_range(t, diag, p_range)
+        diag[:] = 0.0
+        p_sum[lo:hi] = t.sum(axis=1)
+    return PairwiseSums(station_ids=ids, d_sum=d_sum, p_sum=p_sum,
+                        d_range=d_range, p_range=p_range)
 
 
-def build_pairwise(members: list[StationRadio]) -> PairwiseTables:
-    """Full M x M tables for one cluster; O(M^2) time and space."""
+def _fold_offdiag_range(block: np.ndarray, diag: np.ndarray, running):
+    """Widen running (min, max) by block's entries off diag (left at -inf)."""
+    diag[:] = math.inf
+    lo = min(running[0], float(block.min()))
+    diag[:] = -math.inf
+    return lo, max(running[1], float(block.max()))
+
+
+def build_pairwise(members: list[StationRadio]) -> PairwiseSums:
+    """Pairwise sums and ranges for one cluster; O(M^2) time, O(M) space."""
     if not members:
-        raise SelectionError("cannot build tables for an empty cluster")
+        raise SelectionError("cannot build pairwise sums for an empty cluster")
     members = sorted(members, key=lambda m: m.station_id)
     ids = [m.station_id for m in members]
     if len(set(ids)) != len(ids):
         raise SelectionError("duplicate station_id in cluster")
     pos = np.array([m.position for m in members], dtype=float)
     power = np.array([m.base_power for m in members], dtype=float)
-    return _tables_from_arrays(ids, pos, power)
+    return _pairwise_sums(ids, pos, power)
 
 
 def head_objective(d_sum, p_sum, w: float = 1.0):
@@ -136,23 +165,23 @@ def head_objective(d_sum, p_sum, w: float = 1.0):
     return w * p_sum - d_sum
 
 
-def heuristic_score(tables: PairwiseTables) -> np.ndarray:
+def heuristic_score(sums: PairwiseSums) -> np.ndarray:
     """Score_i = mean received power minus mean distance, over all j != i.
 
     Units are mixed on purpose (dBm minus meters); the normalized sweep below
     is the unit-free alternative. A singleton cluster scores [0.0].
     """
-    m = tables.size
+    m = sums.size
     if m == 1:
         return np.zeros(1)
-    return head_objective(tables.d.sum(axis=1), tables.p.sum(axis=1)) / (m - 1)
+    return head_objective(sums.d_sum, sums.p_sum) / (m - 1)
 
 
 def select_heads(clusters, radios: dict[int, StationRadio]) -> HeadSelection:
     """Highest heuristic score per cluster; ties go to the lowest station_id.
 
     clusters is either a cluster -> member-id map or any object exposing
-    members() that returns one. O(L * M^2) total work, O(L) extra space.
+    members() that returns one. O(L * M^2) total work, O(M) extra space.
     """
     if hasattr(clusters, "members"):
         clusters = clusters.members()
@@ -165,45 +194,36 @@ def select_heads(clusters, radios: dict[int, StationRadio]) -> HeadSelection:
             members = [radios[sid] for sid in member_ids]
         except KeyError as exc:
             raise SelectionError(f"no radio for station {exc.args[0]}") from exc
-        tables = build_pairwise(members)
-        scores = heuristic_score(tables)
-        head_id = tables.station_ids[int(np.argmax(scores))]
+        sums = build_pairwise(members)
+        scores = heuristic_score(sums)
+        head_id = sums.station_ids[int(np.argmax(scores))]
         heads[cluster] = ClusterHead(
             cluster=cluster, head_id=head_id, method="heuristic", w=None,
-            member_ids=tables.station_ids, scores=[float(s) for s in scores])
+            member_ids=sums.station_ids, scores=[float(s) for s in scores])
     return HeadSelection(heads=heads)
 
 
-def exact_head(tables: PairwiseTables, w: float) -> int:
+def exact_head(sums: PairwiseSums, w: float) -> int:
     """Exhaustive maximum of w * sum(p_ij) - sum(d_ij) over candidates i.
 
     The one-head constraint makes candidate enumeration exact, so this is the
     reference answer the other selectors are tested against.
     """
-    if tables.size < 1:
-        raise SelectionError("empty tables")
+    if sums.size < 1:
+        raise SelectionError("empty cluster")
     if w < 0:
         raise SelectionError(f"w must be >= 0, got {w}")
-    objective = head_objective(tables.d.sum(axis=1), tables.p.sum(axis=1), w)
-    return tables.station_ids[int(np.argmax(objective))]
+    objective = head_objective(sums.d_sum, sums.p_sum, w)
+    return sums.station_ids[int(np.argmax(objective))]
 
 
-def _normalize_offdiag(table: np.ndarray) -> np.ndarray:
-    """Min-max normalize the off-diagonal entries jointly to [0, 1].
-
-    A constant table maps to all zeros. The diagonal stays zero either way.
-    """
-    m = table.shape[0]
-    mask = ~np.eye(m, dtype=bool)
-    vals = table[mask]
-    lo, hi = vals.min(), vals.max()
-    out = np.zeros_like(table)
-    if hi > lo:
-        out[mask] = (vals - lo) / (hi - lo)
-    return out
+def _normalized_sum(total: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Row sums of a table min-max normalized off its diagonal to [0, 1] (a
+    constant table to zeros), from its raw row sums and off-diagonal range."""
+    return (total - (total.size - 1) * lo) / (hi - lo) if hi > lo else np.zeros(total.size)
 
 
-def weight_sweep(tables: PairwiseTables, grid_size: int = 11,
+def weight_sweep(sums: PairwiseSums, grid_size: int = 11,
                  mode: str = "literal") -> WeightSweep:
     """Trade-off analysis on normalized tables over a uniform w grid in [0,1].
 
@@ -211,40 +231,32 @@ def weight_sweep(tables: PairwiseTables, grid_size: int = 11,
     leaves). convex mode: (1-w) sum d~ - w sum p~, which reaches pure
     power selection at w=1. Both are affine in w per candidate.
     """
-    if tables.size < 2:
+    if sums.size < 2:
         raise SelectionError("weight sweep needs at least 2 stations")
     if grid_size < 2:
         raise SelectionError(f"grid_size must be >= 2, got {grid_size}")
     if mode not in ("literal", "convex"):
         raise SelectionError(f"unknown sweep mode {mode!r}")
-    d_norm = _normalize_offdiag(tables.d)
-    p_norm = _normalize_offdiag(tables.p)
-    a = d_norm.sum(axis=1)
-    b = p_norm.sum(axis=1)
+    a = _normalized_sum(sums.d_sum, *sums.d_range)
+    b = _normalized_sum(sums.p_sum, *sums.p_range)
     w_grid = np.linspace(0.0, 1.0, grid_size)
     if mode == "literal":
         objectives = a[None, :] - w_grid[:, None] * b[None, :]
     else:
         objectives = (1.0 - w_grid[:, None]) * a[None, :] - w_grid[:, None] * b[None, :]
-    argmin_ids = [tables.station_ids[int(np.argmin(row))] for row in objectives]
+    argmin_ids = [sums.station_ids[int(np.argmin(row))] for row in objectives]
     return WeightSweep(
-        station_ids=list(tables.station_ids), w_grid=w_grid, objectives=objectives,
+        station_ids=list(sums.station_ids), w_grid=w_grid, objectives=objectives,
         argmin_ids=argmin_ids, dist_sum=a, power_sum=b, mode=mode)
 
 
-def knn_head(members, radios: dict[int, StationRadio] | None = None, k: int = 1) -> int:
+def knn_head(members: list[StationRadio], k: int = 1) -> int:
     """Heuristic score restricted to each candidate's k nearest neighbors.
 
-    Replaces the all-pairs tables with a k-d tree, so per cluster the work
+    Replaces the all-pairs sums with a k-d tree, so per cluster the work
     trends toward O(M log M + k M). k = M-1 degenerates to the full score
-    and must agree with select_heads exactly. members is a list of station
-    ids resolved through radios, or StationRadio objects directly.
+    and must agree with select_heads exactly.
     """
-    if radios is not None:
-        try:
-            members = [radios[sid] for sid in members]
-        except KeyError as exc:
-            raise SelectionError(f"no radio for station {exc.args[0]}") from exc
     members = sorted(members, key=lambda m: m.station_id)
     m = len(members)
     if not 1 <= k <= m - 1:
@@ -293,36 +305,6 @@ def _random_instance(m: int, seed: int):
     return pos, power
 
 
-def _pairwise_sums(pos: np.ndarray, power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-candidate distance and received-power sums over j != i, as
-    build_pairwise's row sums, without materializing the full M x M tables.
-
-    Row-blocked so the working set stays cache-sized; at M = 4096 the full
-    tables run past 100 MB of temporaries and the timing curve bends away
-    from quadratic for memory reasons, not algorithmic ones.
-    """
-    m = pos.shape[0]
-    sq = np.sum(pos * pos, axis=1)
-    d_sum = np.empty(m)
-    loss_sum = np.empty(m)
-    step = max(1, (4 * 1024 * 1024) // (8 * m))
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
-        d2 = sq[lo:hi, None] + sq[None, :] - 2.0 * (pos[lo:hi] @ pos.T)
-        np.maximum(d2, 0.0, out=d2)
-        d = np.sqrt(d2, out=d2)
-        d[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
-        d_sum[lo:hi] = d.sum(axis=1)
-        np.maximum(d, REFERENCE_DISTANCE_M, out=d)
-        np.log10(d, out=d)
-        loss_sum[lo:hi] = d.sum(axis=1)
-    return d_sum, (m - 1) * power - 10.0 * PATH_LOSS_EXPONENT * loss_sum
-
-
-def _pairwise_once(ids, pos, power) -> int:
-    return ids[int(np.argmax(head_objective(*_pairwise_sums(pos, power))))]
-
-
 def _fit_slope(ms: list[int], times_ns: list[int]) -> float:
     xs = np.log(np.array(ms, dtype=float))
     ys = np.log(np.array(times_ns, dtype=float))
@@ -332,6 +314,9 @@ def _fit_slope(ms: list[int], times_ns: list[int]) -> float:
 def bench_ch(m_values: list[int], repetitions: int = 5, k: int = 16,
              seed: int = 0) -> BenchResult:
     """Median wall time of both selector variants as cluster size grows.
+
+    The all-pairs series times the election's own kernel (_pairwise_sums)
+    and its argmax; the kNN series times the k-d tree selector.
 
     Also emits analytic reference series (values are log10 of nanoseconds,
     anchored at the first measured point) for growth-rate comparison plots:
@@ -352,8 +337,9 @@ def bench_ch(m_values: list[int], repetitions: int = 5, k: int = 16,
             raise BenchmarkError(f"k={k} must be < M={m}")
         pos, power = _random_instance(m, seed)
         ids = list(range(m))
-        for method, fn in (("pairwise", lambda: _pairwise_once(ids, pos, power)),
-                           ("knn", lambda: _knn_best(pos, power, k))):
+        for method, fn in (
+                ("pairwise", lambda: exact_head(_pairwise_sums(ids, pos, power), 1.0)),
+                ("knn", lambda: _knn_best(pos, power, k))):
             fn()
             samples = []
             for _ in range(repetitions):
@@ -414,8 +400,8 @@ def write_heads(selection: HeadSelection, path: str) -> None:
 
 
 def read_heads(path: str) -> HeadSelection:
-    raw = load_json(path)
     try:
+        raw = load_json(path)
         heads = {}
         for c_str, entry in raw["clusters"].items():
             c = int(c_str)
@@ -426,6 +412,8 @@ def read_heads(path: str) -> HeadSelection:
                 scores=[float(s) for s in entry["scores"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise SelectionError(f"malformed heads file {path}: {exc}") from exc
+    if len(heads) != len(raw["clusters"]):
+        raise SelectionError(f"heads file {path}: cluster keys collide as integers")
     for ch in heads.values():
         if ch.head_id not in ch.member_ids:
             raise SelectionError(

@@ -143,15 +143,17 @@ _STATS_KEYS = ("delivered", "dropped", "delivered_bytes", "delay_ms", "jitter_ms
                "throughput_bps")  # report.json's per-station fields, in file order
 
 
-def write_report(report: RunReport, csv_path: str, json_path: str) -> None:
-    def cell(v):
-        return "" if v is None else repr(v)
+def csv_cell(v) -> str:
+    """One CSV cell: a missing metric is empty, a number its repr."""
+    return "" if v is None else repr(v)
 
+
+def write_report(report: RunReport, csv_path: str, json_path: str) -> None:
     lines = ["station_id,delay_ms,jitter_ms,throughput_bps,delivered,dropped"]
     for sid in sorted(report.stations):
         s = report.stations[sid]
-        lines.append(f"{sid},{cell(s.delay_ms)},{cell(s.jitter_ms)},"
-                     f"{cell(s.throughput_bps)},{s.delivered},{s.dropped}")
+        lines.append(f"{sid},{csv_cell(s.delay_ms)},{csv_cell(s.jitter_ms)},"
+                     f"{csv_cell(s.throughput_bps)},{s.delivered},{s.dropped}")
     atomic_write_text(csv_path, "\n".join(lines) + "\n")
 
     payload = {

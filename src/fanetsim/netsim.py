@@ -191,8 +191,8 @@ def _check_range(hop: Hop, limit: float) -> Hop:
 
 
 def build_topology(config: TopologyConfig, positions: dict[int, tuple[float, float]],
-                   clusters=None, heads=None,
-                   arena: tuple[float, float] = (500.0, 500.0)) -> Topology:
+                   clusters=None, heads=None, *,
+                   arena: tuple[float, float]) -> Topology:
     """Wire stations to servers for one scenario.
 
     clusters maps cluster -> member station ids (or provides members());

@@ -542,8 +542,8 @@ def save_model(model: BoostedModel, path: str) -> None:
 
 
 def load_model(path: str) -> BoostedModel:
-    raw = load_json(path)
     try:
+        raw = load_json(path)
         params = BoostParams(**raw["params"])
         window = None
         if raw["window"] is not None:

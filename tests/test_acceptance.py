@@ -70,10 +70,10 @@ def test_head_heuristic_equals_exact_at_full_weight():
     trials = 1000
     for _ in range(trials):
         m = int(rng.integers(2, 13))
-        tables = build_pairwise(_random_cluster(rng, m))
-        scores = headselect.heuristic_score(tables)
-        heur = tables.station_ids[int(np.argmax(scores))]
-        agree += heur == headselect.exact_head(tables, w=1.0)
+        sums = build_pairwise(_random_cluster(rng, m))
+        scores = headselect.heuristic_score(sums)
+        heur = sums.station_ids[int(np.argmax(scores))]
+        agree += heur == headselect.exact_head(sums, w=1.0)
     elapsed = time.perf_counter() - start
     _report(agree == trials and elapsed < 5.0,
             "heuristic head == exact head at w=1",
@@ -105,9 +105,9 @@ def test_exact_head_matches_one_hot_enumeration():
     trials = 200
     for _ in range(trials):
         members = _random_cluster(rng, int(rng.integers(2, 13)))
-        tables = build_pairwise(members)
+        sums = build_pairwise(members)
         for w in weights:
-            if headselect.exact_head(tables, w) != _enumerated_head(members, w):
+            if headselect.exact_head(sums, w) != _enumerated_head(members, w):
                 mismatches += 1
     _report(mismatches == 0,
             "exact head == one-hot enumeration",
@@ -118,9 +118,9 @@ def test_weight_sweep_affine_and_dominance():
     rng = np.random.default_rng(1003)
     worst = 0.0
     for _ in range(50):
-        tables = build_pairwise(_random_cluster(rng, 8))
+        sums = build_pairwise(_random_cluster(rng, 8))
         for mode in ("literal", "convex"):
-            sweep = headselect.weight_sweep(tables, 11, mode=mode)
+            sweep = headselect.weight_sweep(sums, 11, mode=mode)
             assert sweep.objectives.shape == (11, 8)
             second = np.diff(sweep.objectives, n=2, axis=0)
             worst = max(worst, float(np.max(np.abs(second))))

@@ -200,6 +200,17 @@ def test_missing_artifact_exits_2(chain, tmp_path, capsys):
     assert "missing trace artifact" in capsys.readouterr().err
 
 
+def test_predict_rejects_non_json_model_exits_2(chain, tmp_path, capsys):
+    bad = tmp_path / "model_x.json"
+    bad.write_text("not json\n")
+    o = chain / "out"
+    code = cli.main(["predict", "--config", str(chain / "cfg.ini"),
+                     "--out", str(tmp_path / "p"), "--trace", str(o / "trace.csv"),
+                     "--model-x", str(bad), "--model-y", str(o / "model_y.json")])
+    assert code == 2
+    assert f"malformed model file {bad}" in capsys.readouterr().err
+
+
 def test_heads_rejects_nan_predictions(chain, tmp_path, capsys):
     # All-NaN scores used to elect each cluster's first station silently.
     src = (chain / "out" / "predictions.csv").read_text().splitlines()

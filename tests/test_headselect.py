@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +21,7 @@ from fanetsim import (
     weight_sweep,
     write_heads,
 )
-from fanetsim.headselect import (_knn_best, _pairwise_sums, _random_instance,
-                                 head_objective, write_bench, write_bench_refs)
+from fanetsim.headselect import _random_instance, write_bench, write_bench_refs
 
 
 def collinear_trio():
@@ -59,24 +60,91 @@ def test_station_radio_rejects_non_finite(position, power):
         StationRadio(2, position, power)
 
 
-def test_pairwise_tables():
-    tables = build_pairwise(random_radios(np.random.default_rng(0), 9))
-    assert tables.station_ids == list(range(9))
-    np.testing.assert_array_equal(tables.d, tables.d.T)
-    assert np.all(np.diag(tables.d) == 0.0)
-    assert np.all(np.diag(tables.p) == 0.0)
-    assert np.all(tables.d[~np.eye(9, dtype=bool)] > 0)
+def bruteforce_sums(radios):
+    """Per-candidate sums and off-diagonal ranges from a plain double loop."""
+    d_sum, p_sum, ds, ps = [], [], [], []
+    for cand in radios:
+        d_row, p_row = [], []
+        for other in radios:
+            if other is cand:
+                continue
+            d = math.hypot(cand.position[0] - other.position[0],
+                           cand.position[1] - other.position[1])
+            d_row.append(d)
+            p_row.append(cand.base_power - 20.0 * math.log10(max(d, 1.0)))
+        d_sum.append(sum(d_row))
+        p_sum.append(sum(p_row))
+        ds += d_row
+        ps += p_row
+    return d_sum, p_sum, (min(ds), max(ds)), (min(ps), max(ps))
 
+
+def colocated_radios():
+    rng = np.random.default_rng(11)
+    pos = rng.uniform(0, 500, size=(40, 2))
+    pos[17] = pos[5]
+    pos[30] = pos[2]
+    return [StationRadio(i, (float(pos[i, 0]), float(pos[i, 1])), float(p))
+            for i, p in enumerate(rng.uniform(60, 80, size=40))]
+
+
+# 2 and 3 stations are the smallest clusters, 700 fills most of one 4 MiB
+# row block, 1100 and 1500 span 3 and 5 blocks
+@pytest.mark.parametrize("m", [2, 3, 64, 700, 1100, 1500, "colocated"])
+def test_pairwise_sums_match_bruteforce(m):
+    if m == "colocated":
+        radios = colocated_radios()
+    else:
+        pos, power = _random_instance(m, seed=3)
+        radios = [StationRadio(i, (float(pos[i, 0]), float(pos[i, 1])), float(power[i]))
+                  for i in range(m)]
+    d_sum, p_sum, d_range, p_range = bruteforce_sums(radios)
+    sums = build_pairwise(radios[::-1])
+    assert sums.station_ids == sorted(r.station_id for r in radios)
+    np.testing.assert_allclose(sums.d_sum, d_sum, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(sums.p_sum, p_sum, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(sums.p_range, p_range, rtol=1e-12, atol=0)
+    assert sums.d_range[1] == pytest.approx(d_range[1], rel=1e-12, abs=0)
+    # The kernel's squared distance |a|^2 + |b|^2 - 2 a.b loses a few ulps of
+    # |a|^2 to cancellation, which for the closest pair is far above 1e-12 of
+    # its distance (about 2e-9 at 1500 stations); bound that error instead.
+    gram_atol = 8 * np.finfo(float).eps * 2 * 500.0 ** 2
+    assert abs(sums.d_range[0] ** 2 - d_range[0] ** 2) <= gram_atol
+    if m == "colocated":
+        assert d_range[0] == 0.0
+    best = sums.station_ids[int(np.argmax(np.array(p_sum) - np.array(d_sum)))]
+    assert exact_head(sums, 1.0) == best
+
+
+def test_build_pairwise_validation():
     with pytest.raises(SelectionError):
         build_pairwise([])
     with pytest.raises(SelectionError):
         build_pairwise([StationRadio(1, (0, 0), 70), StationRadio(1, (1, 1), 70)])
+    solo = build_pairwise([StationRadio(7, (3.0, 4.0), 75.0)])
+    assert (solo.d_sum.tolist(), solo.p_sum.tolist()) == ([0.0], [0.0])
+    assert solo.d_range == solo.p_range == (math.inf, -math.inf)
+
+
+def test_pairwise_memory_is_linear():
+    # Full 4096 x 4096 distance and power tables alone take 256 MiB; one
+    # 4 MiB row block and its temporaries stay far below the bound.
+    pos, power = _random_instance(4096, seed=0)
+    radios = [StationRadio(i, (float(pos[i, 0]), float(pos[i, 1])), float(power[i]))
+              for i in range(4096)]
+    tracemalloc.start()
+    try:
+        weight_sweep(build_pairwise(radios))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 def test_heuristic_score_frozen_collinear():
-    tables = build_pairwise(collinear_trio())
+    sums = build_pairwise(collinear_trio())
     side = 31.989700043360187
-    np.testing.assert_allclose(heuristic_score(tables), [side, 40.0, side],
+    np.testing.assert_allclose(heuristic_score(sums), [side, 40.0, side],
                                rtol=1e-12)
     # singleton clusters score a flat zero
     solo = build_pairwise([StationRadio(7, (3.0, 4.0), 75.0)])
@@ -99,26 +167,26 @@ def test_select_heads_prefers_middle_station():
 
 
 def test_exact_head_collinear_and_validation():
-    tables = build_pairwise(collinear_trio())
-    assert exact_head(tables, 0.5) == 1
-    assert exact_head(tables, 0.0) == 1  # middle also wins on pure distance
+    sums = build_pairwise(collinear_trio())
+    assert exact_head(sums, 0.5) == 1
+    assert exact_head(sums, 0.0) == 1  # middle also wins on pure distance
     with pytest.raises(SelectionError):
-        exact_head(tables, -0.1)
+        exact_head(sums, -0.1)
 
 
 def test_heuristic_argmax_equals_exact_w1():
     rng = np.random.default_rng(2)
     for _ in range(50):
-        tables = build_pairwise(random_radios(rng, int(rng.integers(2, 13))))
-        by_score = tables.station_ids[int(np.argmax(heuristic_score(tables)))]
-        assert by_score == exact_head(tables, 1.0)
+        sums = build_pairwise(random_radios(rng, int(rng.integers(2, 13))))
+        by_score = sums.station_ids[int(np.argmax(heuristic_score(sums)))]
+        assert by_score == exact_head(sums, 1.0)
 
 
 def test_exact_head_matches_bruteforce_enumeration():
     rng = np.random.default_rng(3)
     for _ in range(50):
         radios = random_radios(rng, int(rng.integers(2, 9)))
-        tables = build_pairwise(radios)
+        sums = build_pairwise(radios)
         for w in (0.0, 0.25, 0.5, 1.0):
             best_id, best_obj = None, math.inf
             for cand in radios:
@@ -132,13 +200,13 @@ def test_exact_head_matches_bruteforce_enumeration():
                                     - 20.0 * math.log10(max(d, 1.0)))
                 if obj < best_obj - 1e-12:
                     best_obj, best_id = obj, cand.station_id
-            assert exact_head(tables, w) == best_id
+            assert exact_head(sums, w) == best_id
 
 
 def test_weight_sweep_affine_objectives():
-    tables = build_pairwise(random_radios(np.random.default_rng(4), 8))
+    sums = build_pairwise(random_radios(np.random.default_rng(4), 8))
     for mode in ("literal", "convex"):
-        sweep = weight_sweep(tables, grid_size=11, mode=mode)
+        sweep = weight_sweep(sums, grid_size=11, mode=mode)
         np.testing.assert_allclose(sweep.w_grid, np.linspace(0, 1, 11), atol=1e-15)
         assert sweep.objectives.shape == (11, 8)
         second_diff = np.diff(sweep.objectives, n=2, axis=0)
@@ -147,14 +215,14 @@ def test_weight_sweep_affine_objectives():
 
 
 def test_weight_sweep_endpoints():
-    tables = build_pairwise(random_radios(np.random.default_rng(5), 10))
-    lit = weight_sweep(tables, mode="literal")
+    sums = build_pairwise(random_radios(np.random.default_rng(5), 10))
+    lit = weight_sweep(sums, mode="literal")
     # w=0 selects on distance alone in both modes
-    assert lit.argmin_ids[0] == tables.station_ids[int(np.argmin(lit.dist_sum))]
-    conv = weight_sweep(tables, mode="convex")
+    assert lit.argmin_ids[0] == sums.station_ids[int(np.argmin(lit.dist_sum))]
+    conv = weight_sweep(sums, mode="convex")
     assert conv.argmin_ids[0] == lit.argmin_ids[0]
     # convex w=1 drops the distance term entirely
-    assert conv.argmin_ids[-1] == tables.station_ids[int(np.argmax(conv.power_sum))]
+    assert conv.argmin_ids[-1] == sums.station_ids[int(np.argmax(conv.power_sum))]
 
 
 def test_weight_sweep_dominance_instance():
@@ -168,12 +236,50 @@ def test_weight_sweep_dominance_instance():
         assert sweep.argmin_ids == [0] * 11
 
 
+def table_sweep(radios, mode):
+    """The sweep as full normalized tables: d~ and p~ min-max scale the
+    off-diagonal entries jointly, a constant table becomes zeros."""
+    radios = sorted(radios, key=lambda r: r.station_id)
+    pos = np.array([r.position for r in radios])
+    power = np.array([r.base_power for r in radios])
+    sq = np.sum(pos * pos, axis=1)
+    d = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * (pos @ pos.T), 0.0))
+    p = power[:, None] - 20.0 * np.log10(np.maximum(d, 1.0))
+    off = ~np.eye(len(radios), dtype=bool)
+    sums = []
+    for table in (d, p):
+        vals = table[off]
+        norm = np.zeros_like(table)
+        if vals.max() > vals.min():
+            norm[off] = (vals - vals.min()) / (vals.max() - vals.min())
+        sums.append(norm.sum(axis=1))
+    a, b = sums
+    w = np.linspace(0.0, 1.0, 11)[:, None]
+    objectives = a - w * b if mode == "literal" else (1.0 - w) * a - w * b
+    return [radios[int(np.argmin(row))].station_id for row in objectives], a, b
+
+
+def test_weight_sweep_matches_table_normalization():
+    rng = np.random.default_rng(12)
+    cases = [random_radios(rng, int(rng.integers(2, 40))) for _ in range(300)]
+    cases += [collinear_trio(), colocated_radios(),
+              [StationRadio(i, (0.0, 0.0), 70.0) for i in range(3)]]
+    for radios in cases:
+        sums = build_pairwise(radios)
+        for mode in ("literal", "convex"):
+            ids, a, b = table_sweep(radios, mode)
+            sweep = weight_sweep(sums, mode=mode)
+            assert sweep.argmin_ids == ids
+            np.testing.assert_allclose(sweep.dist_sum, a, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(sweep.power_sum, b, rtol=0, atol=1e-12)
+
+
 def test_weight_sweep_validation():
-    tables = build_pairwise(collinear_trio())
+    sums = build_pairwise(collinear_trio())
     with pytest.raises(SelectionError):
-        weight_sweep(tables, grid_size=1)
+        weight_sweep(sums, grid_size=1)
     with pytest.raises(SelectionError):
-        weight_sweep(tables, mode="weird")
+        weight_sweep(sums, mode="weird")
     with pytest.raises(SelectionError):
         weight_sweep(build_pairwise([StationRadio(0, (0, 0), 70)]))
 
@@ -182,36 +288,20 @@ def test_knn_head():
     radios = collinear_trio()
     # all three k=1 scores tie at 40; ties keep the lowest station id
     assert knn_head(radios, k=1) == 0
-    by_id = {r.station_id: r for r in radios}
-    assert knn_head([0, 1, 2], by_id, k=1) == 0
+    assert knn_head(radios[::-1], k=1) == 0
     with pytest.raises(SelectionError):
         knn_head(radios, k=0)
     with pytest.raises(SelectionError):
         knn_head(radios, k=3)
-    with pytest.raises(SelectionError):
-        knn_head([0, 99], by_id, k=1)
 
 
 def test_knn_head_full_neighborhood_matches_heuristic():
     rng = np.random.default_rng(6)
     for _ in range(30):
         radios = random_radios(rng, int(rng.integers(3, 12)))
-        tables = build_pairwise(radios)
-        full = tables.station_ids[int(np.argmax(heuristic_score(tables)))]
+        sums = build_pairwise(radios)
+        full = sums.station_ids[int(np.argmax(heuristic_score(sums)))]
         assert knn_head(radios, k=len(radios) - 1) == full
-
-
-@pytest.mark.parametrize("m", [64, 700, 1100, 1500])
-def test_bench_methods_match_table_path(m):
-    # 1100 and 1500 stations span 3 and 5 row blocks of _pairwise_sums
-    pos, power = _random_instance(m, seed=3)
-    radios = [StationRadio(i, (pos[i, 0], pos[i, 1]), power[i]) for i in range(m)]
-    d_sum, p_sum = _pairwise_sums(pos, power)
-    bench_scores = head_objective(d_sum, p_sum)
-    table_scores = heuristic_score(build_pairwise(radios))
-    np.testing.assert_allclose(bench_scores / (m - 1), table_scores, rtol=1e-12)
-    assert int(np.argmax(bench_scores)) == int(np.argmax(table_scores))
-    assert knn_head(radios, k=16) == _knn_best(pos, power, 16)
 
 
 def test_kdtree_matches_bruteforce():
@@ -280,4 +370,22 @@ def test_heads_roundtrip(tmp_path):
     path.write_text('{"heads": {"0": {"head_id": 5, "member_ids": [1, 2],'
                     ' "method": "heuristic", "w": null, "scores": []}}}')
     with pytest.raises(SelectionError):
+        read_heads(str(path))
+
+
+def test_read_heads_rejects_non_json(tmp_path):
+    path = tmp_path / "heads.json"
+    path.write_text("head_id,5\n")
+    with pytest.raises(SelectionError, match=f"malformed heads file {path}"):
+        read_heads(str(path))
+
+
+def test_read_heads_rejects_colliding_cluster_keys(tmp_path):
+    # "1" and "01" used to merge into cluster 1, the last entry winning
+    entry = {"head_id": 5, "method": "heuristic", "w": None,
+             "member_ids": [5], "scores": [0.0]}
+    path = tmp_path / "heads.json"
+    path.write_text(json.dumps({"clusters": {"1": dict(entry, head_id=4, member_ids=[4]),
+                                             "01": entry}}))
+    with pytest.raises(SelectionError, match=f"heads file {path}: cluster keys collide"):
         read_heads(str(path))

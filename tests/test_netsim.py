@@ -118,7 +118,8 @@ def test_sim_config_validation():
 
 
 def test_centralized_nonclustered_topology():
-    topo = build_topology(TopologyConfig(clustering=False), grid_positions(6))
+    topo = build_topology(TopologyConfig(clustering=False), grid_positions(6),
+                          arena=(500.0, 500.0))
     assert set(topo.servers) == {"server"}
     assert topo.servers["server"] == (250.0, 250.0)
     assert set(topo.channels) == {"air"}
@@ -132,7 +133,7 @@ def test_clustered_centralized_topology():
     clusters = {0: [0, 1, 2], 1: [3, 4, 5]}
     heads = {0: 1, 1: 4}
     topo = build_topology(TopologyConfig(clustering=True), grid_positions(6),
-                          clusters, heads)
+                          clusters, heads, arena=(500.0, 500.0))
     assert set(topo.channels) == {"cluster0", "cluster1", "backbone"}
     assert topo.channels["backbone"] == 50e6
     # heads take one hop, members two, all ending at the shared server
@@ -147,7 +148,7 @@ def test_clustered_decentralized_topology():
     clusters = {0: [0, 1, 2], 1: [3, 4, 5]}
     heads = {0: 0, 1: 3}
     topo = build_topology(TopologyConfig(mode="decentralized", clustering=True),
-                          grid_positions(6), clusters, heads)
+                          grid_positions(6), clusters, heads, arena=(500.0, 500.0))
     assert set(topo.servers) == {"server0", "server1"}
     assert set(topo.channels) == {"cluster0", "cluster1", "backbone0", "backbone1"}
     assert topo.paths[4][-1].dst == "server1"
@@ -160,7 +161,8 @@ def test_nonclustered_decentralized_uses_nearest_server():
     positions = {0: (0.0, 0.0), 1: (100.0, 0.0), 2: (0.0, 100.0), 3: (100.0, 100.0)}
     clusters = {0: [0, 1], 1: [2, 3]}
     topo = build_topology(
-        TopologyConfig(mode="decentralized", clustering=False), positions, clusters)
+        TopologyConfig(mode="decentralized", clustering=False), positions, clusters,
+        arena=(500.0, 500.0))
     assert set(topo.channels) == {"air"}  # no coordination, one collision domain
     assert set(topo.servers) == {"server0", "server1"}
     assert topo.servers["server0"] == (50.0, 0.0)
@@ -173,30 +175,31 @@ def test_nearest_server_ties_use_lowest_name():
     positions = {0: (0.0, 0.0), 1: (100.0, 100.0), 2: (0.0, 100.0), 3: (100.0, 0.0)}
     clusters = {0: [0, 1], 1: [2, 3]}
     topo = build_topology(
-        TopologyConfig(mode="decentralized", clustering=False), positions, clusters)
+        TopologyConfig(mode="decentralized", clustering=False), positions, clusters,
+        arena=(500.0, 500.0))
     assert topo.servers["server0"] == topo.servers["server1"] == (50.0, 50.0)
     assert all(p[0].dst == "server0" for p in topo.paths.values())
 
 
 def test_topology_requirements():
     with pytest.raises(TopologyError):
-        build_topology(TopologyConfig(clustering=True), grid_positions(4))
+        build_topology(TopologyConfig(clustering=True), grid_positions(4), arena=(500.0, 500.0))
     with pytest.raises(TopologyError):
         build_topology(TopologyConfig(mode="decentralized", clustering=False),
-                       grid_positions(4))
+                       grid_positions(4), arena=(500.0, 500.0))
     with pytest.raises(TopologyError):
         build_topology(TopologyConfig(clustering=True), grid_positions(4),
-                       {0: [0, 1, 2, 3]}, None)
+                       {0: [0, 1, 2, 3]}, None, arena=(500.0, 500.0))
     # clusters must cover the station set exactly
     with pytest.raises(TopologyError):
         build_topology(TopologyConfig(clustering=True), grid_positions(4),
-                       {0: [0, 1]}, {0: 0})
+                       {0: [0, 1]}, {0: 0}, arena=(500.0, 500.0))
     # the head must belong to its own cluster
     with pytest.raises(TopologyError):
         build_topology(TopologyConfig(clustering=True), grid_positions(4),
-                       {0: [0, 1, 2, 3]}, {0: 9})
+                       {0: [0, 1, 2, 3]}, {0: 9}, arena=(500.0, 500.0))
     with pytest.raises(TopologyError):
-        build_topology(TopologyConfig(), {})
+        build_topology(TopologyConfig(), {}, arena=(500.0, 500.0))
     # hops beyond radio range are rejected outright
     with pytest.raises(TopologyError):
         build_topology(TopologyConfig(clustering=False, radio_range=10.0),
@@ -205,7 +208,8 @@ def test_topology_requirements():
 
 def test_single_hop_delay_closed_form():
     topo = build_topology(TopologyConfig(clustering=False),
-                          {0: (150.0, 250.0)})  # 100 m from the center server
+                          {0: (150.0, 250.0)},  # 100 m from the center server
+                          arena=(500.0, 500.0))
     records = run_sim(topo, [one_packet()])
     assert len(records) == 1
     rec = records[0]
@@ -235,7 +239,8 @@ def test_two_hop_delay_closed_form():
 
 
 def test_fifo_contention_schedule():
-    topo = build_topology(TopologyConfig(clustering=False), {0: (150.0, 250.0)})
+    topo = build_topology(TopologyConfig(clustering=False), {0: (150.0, 250.0)},
+                          arena=(500.0, 500.0))
     workload = [one_packet(pid=0), one_packet(pid=1)]  # simultaneous arrivals
     records = run_sim(topo, workload)
     d0 = records[0].delivery_time - records[0].send_time
@@ -246,7 +251,7 @@ def test_fifo_contention_schedule():
 
 def test_queue_overflow_drops():
     topo = build_topology(TopologyConfig(clustering=False, queue_capacity=1),
-                          {0: (150.0, 250.0)})
+                          {0: (150.0, 250.0)}, arena=(500.0, 500.0))
     workload = [one_packet(pid=i) for i in range(3)]
     records = run_sim(topo, workload)
     dropped = [r for r in records if r.dropped]
@@ -262,7 +267,8 @@ def test_queue_overflow_drops():
 
 
 def test_horizon_cutoff():
-    topo = build_topology(TopologyConfig(clustering=False), {0: (150.0, 250.0)})
+    topo = build_topology(TopologyConfig(clustering=False), {0: (150.0, 250.0)},
+                          arena=(500.0, 500.0))
     workload = [one_packet(pid=0, t=0.0), one_packet(pid=1, t=0.0)]
     # horizon falls between the two delivery times
     cut = 2 * TX_1024 + PROP_100 + PROC - 1e-6
@@ -275,7 +281,8 @@ def test_horizon_cutoff():
 
 
 def test_run_sim_validation():
-    topo = build_topology(TopologyConfig(clustering=False), {0: (150.0, 250.0)})
+    topo = build_topology(TopologyConfig(clustering=False), {0: (150.0, 250.0)},
+                          arena=(500.0, 500.0))
     with pytest.raises(SimulationError):
         run_sim(topo, [one_packet(src=9)])
     with pytest.raises(SimulationError):
@@ -285,7 +292,7 @@ def test_run_sim_validation():
 def test_records_sorted_and_replayable():
     positions = grid_positions(10)
     topo = build_topology(TopologyConfig(clustering=False, queue_capacity=2),
-                          positions)
+                          positions, arena=(500.0, 500.0))
     params = TrafficParams(packets_per_station=40, seed=6)
     workload = generate_workload(sorted(positions), params)
     a = run_sim(topo, workload)
@@ -297,7 +304,8 @@ def test_records_sorted_and_replayable():
 
 
 def test_conservation_check_catches_tampering():
-    topo = build_topology(TopologyConfig(clustering=False), {0: (150.0, 250.0)})
+    topo = build_topology(TopologyConfig(clustering=False), {0: (150.0, 250.0)},
+                          arena=(500.0, 500.0))
     workload = [one_packet(pid=0), one_packet(pid=1)]
     records = run_sim(topo, workload)
     with pytest.raises(SimulationError):
@@ -308,7 +316,7 @@ def test_conservation_check_catches_tampering():
 
 def test_records_roundtrip(tmp_path):
     topo = build_topology(TopologyConfig(clustering=False, queue_capacity=0),
-                          grid_positions(5))
+                          grid_positions(5), arena=(500.0, 500.0))
     workload = generate_workload(range(5), TrafficParams(packets_per_station=20, seed=1))
     records = run_sim(topo, workload)
     path = tmp_path / "records.csv"
@@ -346,7 +354,7 @@ def _random_case(rng, mode, clustering):
     topo = build_topology(
         TopologyConfig(mode=mode, clustering=clustering, **settings), positions,
         clusters if clustering or mode == "decentralized" else None,
-        heads if clustering else None)
+        heads if clustering else None, arena=(500.0, 500.0))
 
     count = rng.randint(1, 30)
     shape = rng.choice(["sorted", "shuffled", "equal-time"])
@@ -381,7 +389,7 @@ def test_arrival_precedes_service_end_at_equal_time():
     # the channel is still busy and, with no queue, packet 1 drops.
     topo = build_topology(
         TopologyConfig(clustering=False, queue_capacity=0, link_bitrate=8.0,
-                       processing_delay=0.0), {0: (250.0, 250.0)})
+                       processing_delay=0.0), {0: (250.0, 250.0)}, arena=(500.0, 500.0))
     workload = [Packet(0, 0, 1, 0.0), Packet(1, 0, 1, 1.0)]
     records = run_sim(topo, workload)
     assert [r.dropped for r in records] == [False, True]
@@ -405,7 +413,7 @@ def test_build_topology_rejects_non_finite_position():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(TopologyError, match="station 3"):
             build_topology(TopologyConfig(clustering=False),
-                           {0: (10.0, 10.0), 3: (bad, 10.0)})
+                           {0: (10.0, 10.0), 3: (bad, 10.0)}, arena=(500.0, 500.0))
         # a non-finite arena would put the server, and every hop length, at nan
         with pytest.raises(TopologyError, match="arena"):
             build_topology(TopologyConfig(clustering=False), {0: (10.0, 10.0)},
@@ -414,7 +422,7 @@ def test_build_topology_rejects_non_finite_position():
 
 def test_run_sim_rejects_non_finite_creation_time():
     topo = build_topology(TopologyConfig(clustering=False),
-                          {0: (150.0, 250.0), 1: (160.0, 250.0)})
+                          {0: (150.0, 250.0), 1: (160.0, 250.0)}, arena=(500.0, 500.0))
     for bad in (math.nan, math.inf):
         with pytest.raises(SimulationError, match="packet 7"):
             run_sim(topo, [Packet(0, 0, 1024, 0.0), Packet(7, 1, 1024, bad)])
@@ -432,7 +440,7 @@ def test_conservation_check_rejects_non_finite_delivery_time():
 def two_hop_run():
     positions = {0: (200.0, 250.0), 1: (260.0, 250.0), 2: (250.0, 200.0)}
     topo = build_topology(TopologyConfig(clustering=True), positions,
-                          {0: [0, 1, 2]}, {0: 1})
+                          {0: [0, 1, 2]}, {0: 1}, arena=(500.0, 500.0))
     workload = generate_workload(sorted(positions), TrafficParams(packets_per_station=5))
     records = run_sim(topo, workload)
     assert conservation_check(records, workload)["delivered"] == 15
@@ -497,7 +505,7 @@ def test_rows_hold_python_scalars():
     # repr of a numpy scalar reads 'np.float64(...)', which would change
     # records.csv and every digest built from the rows' reprs
     topo = build_topology(TopologyConfig(clustering=False, queue_capacity=0),
-                          grid_positions(5))
+                          grid_positions(5), arena=(500.0, 500.0))
     workload = generate_workload(range(5), TrafficParams(packets_per_station=20, seed=2))
     records = run_sim(topo, workload, horizon=0.4)
     rows = [*records, records[0], records[-1]]

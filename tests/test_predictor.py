@@ -271,6 +271,13 @@ def test_model_roundtrip(tmp_path):
         load_model(str(path))
 
 
+def test_load_model_rejects_non_json(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("target,x\n")
+    with pytest.raises(PredictionError, match=f"malformed model file {path}"):
+        load_model(str(path))
+
+
 def test_predict_positions():
     trace = linear_trace(20)
     ds = build_dataset(trace, h=2)
