@@ -90,16 +90,31 @@ class RegressionTree:
     value: np.ndarray
 
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:
+        # One step per level; a leaf loops to itself, so its feature -1 decides nothing.
+        leaf, stay = self.feature < 0, np.arange(self.feature.size)
+        left, right = np.where(leaf, stay, self.left), np.where(leaf, stay, self.right)
         node = np.zeros(X.shape[0], dtype=np.intp)
-        while True:
-            feats = self.feature[node]
-            live = np.nonzero(feats >= 0)[0]
-            if live.size == 0:
-                break
-            cur = node[live]
-            go_left = X[live, feats[live]] <= self.threshold[cur]
-            node[live] = np.where(go_left, self.left[cur], self.right[cur])
+        base = np.arange(X.shape[0]) * X.shape[1]
+        level = stay[:1]
+        while (level := level[~leaf[level]]).size:
+            level = np.r_[self.left[level], self.right[level]]
+            node = np.where(X.ravel()[base + self.feature[node]] <= self.threshold[node],
+                            left[node], right[node])
         return self.value[node]
+
+    def check(self, n_features: int, name: str) -> None:
+        """Raise ValueError unless the arrays form a tree predict_matrix reads."""
+        n = self.feature.size
+        if n == 0 or any(getattr(self, f.name).shape != (n,) for f in fields(self)):
+            raise ValueError(f"{name}: node arrays differ in length or are empty")
+        inner = np.flatnonzero(self.feature >= 0)
+        kids = np.r_[self.left[inner], self.right[inner]]
+        if not (self.feature.min() >= -1 and self.feature.max() < n_features):
+            raise ValueError(f"{name}: feature index outside [0, {n_features})")
+        if not np.all((kids > np.r_[inner, inner]) & (kids < n)):
+            raise ValueError(f"{name}: a child does not come after its parent")
+        if not (np.isfinite(self.threshold).all() and np.isfinite(self.value).all()):
+            raise ValueError(f"{name}: non-finite threshold or value")
 
 
 @dataclass
@@ -114,7 +129,7 @@ class BoostedModel:
     val_rmse: list[float] = field(default_factory=list)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
+        X = np.ascontiguousarray(X, dtype=float)
         out = np.full(X.shape[0], self.base_prediction)
         for tree in self.trees:
             out += self.params.learning_rate * tree.predict_matrix(X)
@@ -198,18 +213,19 @@ class _Bins:
     distinct values: a column with at most MAX_BINS distinct values gets one
     bin per value, otherwise each bin starts where a new 1/MAX_BINS quantile
     of the rows begins. `low`/`high` hold each bin's smallest and largest
-    training value (NaN past a feature's last bin).
+    training value (NaN past a feature's last bin), `population` its row count.
     """
     codes: np.ndarray
     low: np.ndarray
     high: np.ndarray
+    population: np.ndarray
 
     @classmethod
     def from_matrix(cls, X: np.ndarray) -> "_Bins":
         n, n_features = X.shape
         codes = np.empty((n_features, n), dtype=np.uint16)
-        low = np.full((n_features, MAX_BINS), np.nan)
-        high = np.full((n_features, MAX_BINS), np.nan)
+        low, high = np.full((2, n_features, MAX_BINS), np.nan)
+        population = np.zeros((n_features, MAX_BINS), dtype=np.int64)
         for f in range(n_features):
             values, inverse, counts = np.unique(
                 X[:, f], return_inverse=True, return_counts=True)
@@ -224,7 +240,8 @@ class _Bins:
             last = np.r_[first[1:] - 1, values.size - 1]
             low[f, :first.size] = values[first]
             high[f, :first.size] = values[last]
-        return cls(codes, low, high)
+            population[f, :first.size] = np.add.reduceat(counts, first)
+        return cls(codes, low, high, population)
 
 
 class _TreeBuilder:
@@ -234,13 +251,12 @@ class _TreeBuilder:
     row count. Only the smaller child of a split is histogrammed from its
     rows; the larger one is the parent minus the smaller (sibling
     subtraction). Splits fall between the node's non-empty bins, with the
-    threshold midway between the neighbouring training values, and rows are
-    partitioned by the same `x <= threshold` test prediction uses.
+    threshold midway between the neighbouring training values, so rows split
+    on `code <= bin` exactly as the `x <= threshold` test prediction uses.
     """
 
-    def __init__(self, X: np.ndarray, bins: _Bins, residual: np.ndarray,
-                 params: BoostParams, feature_ids: np.ndarray, row_ids: np.ndarray):
-        self.X = X
+    def __init__(self, bins: _Bins, residual: np.ndarray, params: BoostParams,
+                 feature_ids: np.ndarray, row_ids: np.ndarray):
         self.bins = bins
         self.residual = residual
         self.params = params
@@ -266,34 +282,39 @@ class _TreeBuilder:
                 and rows.size >= 2 * self.params.min_samples_leaf)
 
     def _histograms(self, rows: np.ndarray):
+        every = rows.size == self.residual.size  # no gather, counts copied
+        block = self.bins.codes if every else self.bins.codes.take(rows, axis=1)
+        g = self.residual if every else self.residual[rows]
         sums = np.empty((self.feature_ids.size, MAX_BINS))
-        counts = np.empty((self.feature_ids.size, MAX_BINS), dtype=np.int64)
-        g = self.residual[rows]
+        counts = (self.bins.population[self.feature_ids] if every
+                  else np.empty((self.feature_ids.size, MAX_BINS), dtype=np.int64))
         for i, f in enumerate(self.feature_ids):
-            codes = self.bins.codes[f, rows]
-            sums[i] = np.bincount(codes, weights=g, minlength=MAX_BINS)
-            counts[i] = np.bincount(codes, minlength=MAX_BINS)
+            sums[i] = np.bincount(block[f], weights=g, minlength=MAX_BINS)
+            if not every:
+                counts[i] = np.bincount(block[f], minlength=MAX_BINS)
         return sums, counts
 
     def _best_split(self, sums: np.ndarray, counts: np.ndarray, n: int):
+        # Gains only after bins with rows (a split after an empty bin repeats
+        # the last); partial sums keep the subtraction noise of empty bins.
         msl = self.params.min_samples_leaf
+        occupied = np.flatnonzero(counts > 0)
+        row = occupied // MAX_BINS
         cum = np.cumsum(sums, axis=1)
-        n_left = np.cumsum(counts, axis=1)
+        total = cum[:, -1]
+        cum = cum.ravel()[occupied]
+        n_left = np.cumsum(counts, axis=1, dtype=float).ravel()[occupied]
         n_right = n - n_left
-        total = cum[:, -1:]
         with np.errstate(divide="ignore", invalid="ignore"):
-            gains = cum * cum / n_left + (total - cum) ** 2 / n_right - total * total / n
-        # A split after an empty bin repeats the previous partition (its sums
-        # differing only by subtraction noise), so only bins with rows count.
-        valid = (counts > 0) & (n_left >= msl) & (n_right >= msl)
-        gains = np.where(valid, gains, -np.inf)
+            gains = (cum * cum / n_left + (total[row] - cum) ** 2 / n_right
+                     - (total * total / n)[row])
+        gains[(n_left < msl) | (n_right < msl)] = -np.inf
         pos = int(np.argmax(gains))
-        if not gains.flat[pos] > MIN_SPLIT_GAIN:
+        if not gains[pos] > MIN_SPLIT_GAIN:
             return None
-        i, b = divmod(pos, MAX_BINS)
-        f = int(self.feature_ids[i])
-        nxt = b + 1 + int(np.flatnonzero(counts[i, b + 1:])[0])
-        return f, _midpoint(self.bins.high[f, b], self.bins.low[f, nxt])
+        i, b = divmod(int(occupied[pos]), MAX_BINS)
+        f, nxt = int(self.feature_ids[i]), int(occupied[pos + 1]) % MAX_BINS
+        return f, b, _midpoint(self.bins.high[f, b], self.bins.low[f, nxt])
 
     def build(self) -> int:
         root = self._new_node()
@@ -308,10 +329,10 @@ class _TreeBuilder:
                     self.nodes_value[node] = float(self.residual[rows].mean())
                     self.leaf_rows.append((node, rows))
                     continue
-                f, thr = choice
+                f, b, thr = choice
                 self.nodes_feature[node] = f
                 self.nodes_threshold[node] = thr
-                go_left = self.X[rows, f] <= thr
+                go_left = self.bins.codes[f, rows] <= b
                 children = [rows[go_left], rows[~go_left]]
                 split = [self._splittable(c, depth + 1) for c in children]
                 hists = [None, None]
@@ -347,13 +368,11 @@ def train_matrix(X: np.ndarray, y: np.ndarray, params: BoostParams,
                  target: str = "x",
                  window: FeatureWindow | None = None) -> BoostedModel:
     """Boosting loop over a plain matrix; the eval set drives early stopping."""
-    X = np.asarray(X, dtype=float)
+    X = np.ascontiguousarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
         raise TrainingError(f"bad training shapes {X.shape} / {y.shape}")
     n, n_features = X.shape
-    if n == 0:
-        raise TrainingError("empty training set")
     if n < 2:
         raise TrainingError(f"need >= 2 training rows, got {n}")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
@@ -371,8 +390,12 @@ def train_matrix(X: np.ndarray, y: np.ndarray, params: BoostParams,
 
     has_eval = eval_set is not None and eval_set[0].shape[0] > 0
     if has_eval:
-        Xv = np.asarray(eval_set[0], dtype=float)
+        Xv = np.ascontiguousarray(eval_set[0], dtype=float)
         yv = np.asarray(eval_set[1], dtype=float)
+        if (Xv.ndim != 2 or Xv.shape[1] != n_features or yv.shape != Xv.shape[:1]
+                or not (np.isfinite(Xv).all() and np.isfinite(yv).all())):
+            raise TrainingError(f"eval_set must be finite, {n_features} wide with one "
+                                f"target per row; got {Xv.shape} / {yv.shape}")
         val_pred = np.full(Xv.shape[0], base)
     best_val = math.inf
     best_round = -1
@@ -394,7 +417,7 @@ def train_matrix(X: np.ndarray, y: np.ndarray, params: BoostParams,
             feats = all_feats
 
         residual = y - pred
-        builder = _TreeBuilder(X, bins, residual, params, feats, rows)
+        builder = _TreeBuilder(bins, residual, params, feats, rows)
         builder.build()
         tree = builder.to_tree()
         lr = params.learning_rate
@@ -557,6 +580,8 @@ def load_model(path: str) -> BoostedModel:
                 value=np.array(t["value"], dtype=float))
             for t in raw["trees"]
         ]
+        for k, tree in enumerate(trees):
+            tree.check(len(raw["feature_schema"]), f"tree {k}")
         return BoostedModel(
             target=str(raw["target"]), params=params,
             base_prediction=float(raw["base_prediction"]),

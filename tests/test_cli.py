@@ -211,6 +211,54 @@ def test_predict_rejects_non_json_model_exits_2(chain, tmp_path, capsys):
     assert f"malformed model file {bad}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case,message", [
+    ("self_loop", "a child does not come after its parent"),
+    ("child_before_parent", "a child does not come after its parent"),
+    ("child_out_of_range", "a child does not come after its parent"),
+    ("feature_out_of_range", "feature index outside [0, 12)"),
+    ("negative_feature", "feature index outside [0, 12)"),
+    ("short_value", "node arrays differ in length or are empty"),
+    ("empty_tree", "node arrays differ in length or are empty"),
+    ("nan_threshold", "non-finite threshold or value"),
+    ("inf_value", "non-finite threshold or value"),
+])
+def test_predict_rejects_malformed_tree_exits_2(chain, tmp_path, capsys, case, message):
+    # A self-loop used to make `predict` walk forever, and a bad feature
+    # index or a short value array ended in an IndexError traceback.
+    o = chain / "out"
+    raw = json.loads((o / "model_x.json").read_text())
+    tree = raw["trees"][1]
+    inner = [i for i, f in enumerate(tree["feature"]) if f >= 0]
+    assert len(inner) >= 2
+    last = inner[-1]
+    if case == "self_loop":
+        tree["left"][0] = 0
+    elif case == "child_before_parent":
+        tree["right"][last] = last - 1
+    elif case == "child_out_of_range":
+        tree["right"][last] = len(tree["feature"])
+    elif case == "feature_out_of_range":
+        tree["feature"][last] = 12
+    elif case == "negative_feature":
+        tree["feature"][-1] = -2
+    elif case == "short_value":
+        tree["value"].pop()
+    elif case == "empty_tree":
+        raw["trees"][1] = {key: [] for key in tree}
+    elif case == "nan_threshold":
+        tree["threshold"][0] = float("nan")
+    else:
+        tree["value"][-1] = float("inf")
+    bad = tmp_path / "model_x.json"
+    bad.write_text(json.dumps(raw))
+    code = cli.main(["predict", "--config", str(chain / "cfg.ini"),
+                     "--out", str(tmp_path / "p"), "--trace", str(o / "trace.csv"),
+                     "--model-x", str(bad), "--model-y", str(o / "model_y.json")])
+    assert code == 2
+    assert f"malformed model file {bad}: tree 1: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "p" / "predictions.csv").exists()
+
+
 def test_heads_rejects_nan_predictions(chain, tmp_path, capsys):
     # All-NaN scores used to elect each cluster's first station silently.
     src = (chain / "out" / "predictions.csv").read_text().splitlines()

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,10 +23,14 @@ from fanetsim import (
     train,
     train_matrix,
 )
+from fanetsim import predictor
 from fanetsim.predictor import (
     MAX_BINS,
     MIN_SPLIT_GAIN,
+    RegressionTree,
     _feature_rows,
+    _midpoint,
+    _TreeBuilder,
     read_predictions,
     write_predictions,
 )
@@ -481,3 +487,226 @@ def test_predictions_roundtrip_property(tmp_path_factory, preds):
     first = path.read_bytes()
     write_predictions(back, str(path))
     assert path.read_bytes() == first
+
+
+class HistogramOracle(_TreeBuilder):
+    """The histogram splitter as it was before its hot path was tuned: one
+    gather per feature and node, gains at every bin, and rows partitioned on
+    `X[rows, f] <= threshold`. Every tree the builder makes must equal its."""
+
+    def __init__(self, X, *args):
+        super().__init__(*args)
+        self.X = X
+
+    def _histograms(self, rows):
+        sums = np.empty((self.feature_ids.size, MAX_BINS))
+        counts = np.empty((self.feature_ids.size, MAX_BINS), dtype=np.int64)
+        g = self.residual[rows]
+        for i, f in enumerate(self.feature_ids):
+            codes = self.bins.codes[f, rows]
+            sums[i] = np.bincount(codes, weights=g, minlength=MAX_BINS)
+            counts[i] = np.bincount(codes, minlength=MAX_BINS)
+        return sums, counts
+
+    def _best_split(self, sums, counts, n):
+        msl = self.params.min_samples_leaf
+        cum = np.cumsum(sums, axis=1)
+        n_left = np.cumsum(counts, axis=1)
+        n_right = n - n_left
+        total = cum[:, -1:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gains = cum * cum / n_left + (total - cum) ** 2 / n_right - total * total / n
+        valid = (counts > 0) & (n_left >= msl) & (n_right >= msl)
+        gains = np.where(valid, gains, -np.inf)
+        pos = int(np.argmax(gains))
+        if not gains.flat[pos] > MIN_SPLIT_GAIN:
+            return None
+        i, b = divmod(pos, MAX_BINS)
+        f = int(self.feature_ids[i])
+        nxt = b + 1 + int(np.flatnonzero(counts[i, b + 1:])[0])
+        return f, _midpoint(self.bins.high[f, b], self.bins.low[f, nxt])
+
+    def build(self):
+        root = self._new_node()
+        rows = self.row_ids
+        hist = self._histograms(rows) if self._splittable(rows, 0) else None
+        frontier = [(root, 0, rows, hist)]
+        while frontier:
+            next_frontier = []
+            for node, depth, rows, hist in frontier:
+                choice = None if hist is None else self._best_split(*hist, rows.size)
+                if choice is None:
+                    self.nodes_value[node] = float(self.residual[rows].mean())
+                    self.leaf_rows.append((node, rows))
+                    continue
+                f, thr = choice
+                self.nodes_feature[node] = f
+                self.nodes_threshold[node] = thr
+                go_left = self.X[rows, f] <= thr
+                children = [rows[go_left], rows[~go_left]]
+                split = [self._splittable(c, depth + 1) for c in children]
+                hists = [None, None]
+                if any(split):
+                    small = int(children[1].size < children[0].size)
+                    small_hist = self._histograms(children[small])
+                    if split[small]:
+                        hists[small] = small_hist
+                    if split[1 - small]:
+                        sums, counts = hist
+                        sums -= small_hist[0]
+                        counts -= small_hist[1]
+                        hists[1 - small] = hist
+                left, right = self._new_node(), self._new_node()
+                self.nodes_left[node], self.nodes_right[node] = left, right
+                next_frontier.append((left, depth + 1, children[0], hists[0]))
+                next_frontier.append((right, depth + 1, children[1], hists[1]))
+            frontier = next_frontier
+        return root
+
+
+def oracle_matrix(rng, n):
+    lo = np.nextafter(1.0, 2.0)
+    hi = np.nextafter(lo, 2.0)
+    X = np.column_stack([
+        rng.uniform(0, 100, n),                           # > MAX_BINS distinct
+        rng.integers(0, 300, n) * 0.5,                    # <= MAX_BINS, repeated
+        rng.integers(0, 4, n),                            # heavy ties
+        rng.choice([1.0, lo, hi, np.nextafter(hi, 2.0)], n),  # adjacent floats
+        rng.choice(rng.normal(size=1500), n),             # > MAX_BINS, repeated
+        rng.normal(size=n),
+    ]).astype(float)
+    y = (np.sin(X[:, 0] / 9) + 0.3 * X[:, 2] + 2.0 * (X[:, 3] >= hi) + X[:, 4]
+         + rng.normal(scale=0.3, size=n))
+    return X, y
+
+
+def mobility_matrices(seed):
+    # Lagged positions are nearly collinear: splits on different features
+    # often cut the same rows, and their gains then differ only by rounding,
+    # so these data notice any change in how the sums are accumulated.
+    trace = simulate_random_waypoint(
+        ArenaConfig(num_stations=3, duration=200.0, seed=seed))
+    ds = build_dataset(trace)
+    return (ds.X[ds.train_idx], ds.target_x[ds.train_idx],
+            ds.X[ds.test_idx], ds.target_x[ds.test_idx])
+
+
+@pytest.mark.parametrize("data", ["synthetic", "mobility"])
+@pytest.mark.parametrize("subsample,colsample,msl", [
+    (1.0, 1.0, 1), (1.0, 1.0, 2), (1.0, 1.0, 7),
+    (0.7, 1.0, 2), (1.0, 0.5, 1), (0.6, 0.5, 7)])
+def test_builder_trees_equal_histogram_oracle(monkeypatch, data, subsample,
+                                              colsample, msl):
+    # Float residuals leave subtraction noise in the empty bins of every
+    # larger child, which the cumulative sums must carry exactly as before.
+    seed = int(100 * subsample + 10 * colsample + msl)
+    if data == "synthetic":
+        rng = np.random.default_rng(seed)
+        X, y = oracle_matrix(rng, 2500)
+        assert [np.unique(c).size > MAX_BINS for c in X.T] == [1, 0, 0, 0, 1, 1]
+        Xv, yv = oracle_matrix(rng, 400)
+    else:
+        X, y, Xv, yv = mobility_matrices(seed)
+    params = BoostParams(num_rounds=6, learning_rate=0.3, subsample=subsample,
+                         colsample=colsample, min_samples_leaf=msl, seed=3)
+    fast = train_matrix(X, y, params, eval_set=(Xv, yv))
+    monkeypatch.setattr(predictor, "_TreeBuilder",
+                        functools.partial(HistogramOracle, X))
+    slow = train_matrix(X, y, params, eval_set=(Xv, yv))
+    assert len(fast.trees) == len(slow.trees) > 0
+    assert any(t.feature.size > 31 for t in fast.trees)
+    for a, b in zip(fast.trees, slow.trees):
+        for name in ("feature", "threshold", "left", "right", "value"):
+            x, z = getattr(a, name), getattr(b, name)
+            assert x.dtype == z.dtype and x.tobytes() == z.tobytes(), name
+    assert fast.train_rmse == slow.train_rmse
+    assert fast.val_rmse == slow.val_rmse
+
+
+def walk_levels(tree, X):
+    """The walker before the fixed-depth one: every step moves only the rows
+    that are not yet at a leaf, until none is left."""
+    node = np.zeros(X.shape[0], dtype=np.intp)
+    while True:
+        feats = tree.feature[node]
+        live = np.nonzero(feats >= 0)[0]
+        if live.size == 0:
+            break
+        cur = node[live]
+        go_left = X[live, feats[live]] <= tree.threshold[cur]
+        node[live] = np.where(go_left, tree.left[cur], tree.right[cur])
+    return tree.value[node]
+
+
+def random_tree(rng, X, splits, lopsided):
+    """A tree of `splits` random splits on thresholds drawn from X (so ties
+    occur), its nodes shuffled within each level so siblings need not be
+    neighbours; a lopsided tree always splits its newest right child."""
+    feature, threshold, left, right, depth = [-1], [0.0], [-1], [-1], [0]
+    for _ in range(splits):
+        leaves = [i for i, f in enumerate(feature) if f < 0]
+        node = len(feature) - 1 if lopsided else int(rng.choice(leaves))
+        f = int(rng.integers(X.shape[1]))
+        feature[node], threshold[node] = f, float(X[rng.integers(X.shape[0]), f])
+        left[node], right[node] = len(feature), len(feature) + 1
+        for _ in range(2):
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            depth.append(depth[node] + 1)
+    n = len(feature)
+    order = np.lexsort((rng.random(n), depth))
+    new_id = np.r_[np.argsort(order), -1].astype(np.int32)  # -1 stays -1
+    return RegressionTree(
+        feature=np.array(feature, dtype=np.int32)[order],
+        threshold=np.array(threshold)[order],
+        left=new_id[np.array(left)][order],
+        right=new_id[np.array(right)][order],
+        value=rng.normal(size=n)[order])
+
+
+@pytest.mark.parametrize("splits,lopsided", [
+    (0, False), (1, False), (7, False), (40, False), (12, True)])
+def test_fixed_depth_walk_equals_level_walk(splits, lopsided):
+    rng = np.random.default_rng(splits + 100 * lopsided)
+    X = np.column_stack([rng.integers(0, 5, 500), rng.normal(size=500),
+                         rng.integers(-3, 3, 500) * 0.5])
+    X[::37, 1] = np.nan  # not <= any threshold: goes right at every step
+    for _ in range(10):
+        tree = random_tree(rng, X, splits, lopsided)
+        assert tree.feature.size == 2 * splits + 1
+        expected = walk_levels(tree, X)
+        assert tree.predict_matrix(X).tobytes() == expected.tobytes()
+
+
+def test_predict_reads_strided_and_fortran_matrices():
+    # The walker reads the matrix flat in C order, whatever its memory layout.
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(300, 6))
+    model = train_matrix(X[:, ::2], X[:, 0] - X[:, 2], BoostParams(num_rounds=5))
+    expected = model.predict(np.ascontiguousarray(X[:, ::2]))
+    np.testing.assert_array_equal(model.predict(X[:, ::2]), expected)
+    np.testing.assert_array_equal(model.predict(np.asfortranarray(X[:, ::2])), expected)
+
+
+@pytest.mark.parametrize("case", ["nan_target", "inf_feature", "wider", "narrower",
+                                  "short_target", "flat"])
+def test_train_matrix_rejects_bad_eval_set(case):
+    rng = np.random.default_rng(2)
+    X, y = rng.normal(size=(50, 3)), rng.normal(size=50)
+    Xv, yv = rng.normal(size=(20, 3)), rng.normal(size=20)
+    if case == "nan_target":
+        yv[4] = np.nan
+    elif case == "inf_feature":
+        Xv[3, 1] = np.inf
+    elif case == "wider":
+        Xv = rng.normal(size=(20, 4))
+    elif case == "narrower":
+        Xv = Xv[:, :2]
+    elif case == "short_target":
+        yv = yv[:-1]
+    else:
+        Xv = Xv.ravel()
+    with pytest.raises(TrainingError, match=r"eval_set must be finite, 3 wide"):
+        train_matrix(X, y, BoostParams(num_rounds=3), eval_set=(Xv, yv))
