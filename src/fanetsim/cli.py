@@ -9,6 +9,7 @@ rerunning a stage reproduces its files byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import os
@@ -162,6 +163,19 @@ def cmd_heads(args) -> None:
     print(f"wrote {path}: heads {heads_str}")
 
 
+def _check_heads_match(heads: headselect.HeadSelection,
+                       clusters: clustering_mod.ClusterAssignment,
+                       heads_path: str, clusters_path: str) -> None:
+    """Each cluster's member list in heads.json must be its clusters.json one."""
+    members = clusters.members()
+    listed = {c: sorted(ch.member_ids) for c, ch in heads.heads.items()}
+    for c in sorted(members.keys() | listed.keys()):
+        if listed.get(c) != members.get(c):
+            raise FanetSimError(
+                f"heads file {heads_path} disagrees with clusters file "
+                f"{clusters_path} on the members of cluster {c}")
+
+
 def cmd_run(args) -> None:
     cfg, out = _prepare(args)
     clustering_on = args.clustering == "on"
@@ -182,6 +196,7 @@ def cmd_run(args) -> None:
             raise FanetSimError(
                 "missing heads artifact: --heads is required when clustering is on")
         heads = headselect.read_heads(_require(args.heads, "heads"))
+        _check_heads_match(heads, clusters, args.heads, args.clusters)
 
     topo_cfg = cfg.topology_config(args.mode, clustering_on)
     topo = netsim.build_topology(
@@ -395,6 +410,9 @@ def _svg_loglog(result: headselect.BenchResult) -> str:
 
 # --- parser ----------------------------------------------------------------
 
+# Built once per process: building takes ~1.5 ms, and in-process callers such
+# as the tests and the benchmark run `main` ten times per study.
+@functools.cache
 def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="pipeline config INI")

@@ -107,6 +107,16 @@ def _repair_empty(points, labels, centroids, counts):
         centroids[old] = points[labels == old].mean(axis=0)
 
 
+def _as_points(points) -> np.ndarray:
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise ClusteringError(f"points must be 2-D, got shape {points.shape}")
+    if points.shape[1] != 2:
+        raise ClusteringError(
+            f"points must have 2 columns (x, y), got {points.shape[1]}")
+    return points
+
+
 def kmeans(points, k: int, seed=0,
            max_iters: int = DEFAULT_MAX_ITERS, tol: float = DEFAULT_TOL,
            rng: np.random.Generator | None = None) -> ClusterAssignment:
@@ -115,30 +125,47 @@ def kmeans(points, k: int, seed=0,
     Nearest-centroid ties go to the lowest cluster index; the WCSS recorded
     after every assignment pass is non-increasing, which the tests rely on.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise ClusteringError(f"points must be 2-D, got shape {points.shape}")
-    n = points.shape[0]
+    points = _as_points(points)
     if k < 1:
         raise ClusteringError(f"k must be >= 1, got {k}")
     if np.unique(points, axis=0).shape[0] < k:
         raise ClusteringError(f"fewer than {k} distinct points")
     if rng is None:
         rng = np.random.default_rng(seed)
+    return _lloyd(points, k, rng, max_iters, tol)
 
+
+def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
+           max_iters: int, tol: float) -> ClusterAssignment:
+    """One unchecked run over an (n, 2) float array with >= k distinct rows.
+
+    Works on the x and y columns separately and yields the floats of the
+    broadcast form bit for bit: a squared distance is dx*dx + dy*dy, which
+    is numpy's sum over a length-2 axis, and a centroid coordinate is the
+    members' sum in point order over their count, which is numpy's axis-0
+    mean of a C-contiguous (m, 2) array.
+    """
+    n = points.shape[0]
+    x = np.ascontiguousarray(points[:, 0])
+    y = np.ascontiguousarray(points[:, 1])
+    px, py = x[:, None], y[:, None]
     centroids = _init_plusplus(points, k, rng)
     labels = np.zeros(n, dtype=np.intp)
     iteration_wcss: list[float] = []
     for _ in range(max_iters):
-        d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        d2 = px - centroids[:, 0]
+        d2 *= d2
+        dy = py - centroids[:, 1]
+        dy *= dy
+        d2 += dy
         labels = np.argmin(d2, axis=1)
         counts = np.bincount(labels, minlength=k)
         if (counts == 0).any():
             _repair_empty(points, labels, centroids, counts)
         iteration_wcss.append(_sse(points, labels, centroids))
         new_centroids = np.empty_like(centroids)
-        for c in range(k):
-            new_centroids[c] = points[labels == c].mean(axis=0)
+        new_centroids[:, 0] = np.bincount(labels, weights=x, minlength=k) / counts
+        new_centroids[:, 1] = np.bincount(labels, weights=y, minlength=k) / counts
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
         if shift < tol:
@@ -152,15 +179,24 @@ def kmeans(points, k: int, seed=0,
 def _best_kmeans(points, k: int, seed: int, restarts: int,
                  max_iters: int = DEFAULT_MAX_ITERS,
                  tol: float = DEFAULT_TOL) -> ClusterAssignment:
-    """Best of `restarts` independent runs, ranked by (wcss, restart index)."""
+    """Best of `restarts` independent runs, ranked by (wcss, restart index).
+
+    Unchecked: points must be an (n, 2) float array with >= k distinct rows.
+    """
     best: ClusterAssignment | None = None
     for r in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence([seed, k, r]))
-        cand = kmeans(points, k, max_iters=max_iters, tol=tol, rng=rng)
+        cand = _lloyd(points, k, rng, max_iters, tol)
         if best is None or cand.wcss < best.wcss:
             best = cand
     assert best is not None
     return best
+
+
+def _curve(fits: list[ClusterAssignment]) -> list[tuple[int, float]]:
+    """WCSS curve of the best fits for k = 1, 2, ..., as prefix minima."""
+    wcss = np.minimum.accumulate(np.array([fit.wcss for fit in fits]))
+    return [(k, float(w)) for k, w in enumerate(wcss, start=1)]
 
 
 def elbow_curve(points, k_max: int, seed: int = 0,
@@ -170,16 +206,14 @@ def elbow_curve(points, k_max: int, seed: int = 0,
     Prefix minima are applied afterwards so the curve is non-increasing even
     when a larger k lands in a worse local optimum than a smaller one.
     """
-    points = np.asarray(points, dtype=float)
+    points = _as_points(points)
     distinct = np.unique(points, axis=0).shape[0]
     if k_max < 1:
         raise ClusteringError(f"k_max must be >= 1, got {k_max}")
     if k_max > distinct:
         raise ClusteringError(f"k_max {k_max} exceeds {distinct} distinct points")
-    wcss = np.array([
-        _best_kmeans(points, k, seed, restarts).wcss for k in range(1, k_max + 1)])
-    wcss = np.minimum.accumulate(wcss)
-    return [(k, float(w)) for k, w in zip(range(1, k_max + 1), wcss)]
+    return _curve([_best_kmeans(points, k, seed, restarts)
+                   for k in range(1, k_max + 1)])
 
 
 def knee_point(curve: list[tuple[int, float]]) -> tuple[int, bool]:
@@ -227,7 +261,7 @@ def create_clusters(positions: dict[int, tuple[float, float]],
     if not positions:
         raise ClusteringError("no positions given")
     ids = sorted(positions)
-    points = np.array([positions[sid] for sid in ids], dtype=float)
+    points = _as_points([positions[sid] for sid in ids])
     if not np.isfinite(points).all():
         raise ClusteringError("positions must be finite")
     n = len(ids)
@@ -236,7 +270,8 @@ def create_clusters(positions: dict[int, tuple[float, float]],
         k_max = min(10, n - 1) if n > 1 else 1
     k_max = max(1, min(k_max, distinct))
 
-    curve = elbow_curve(points, k_max, seed=seed, restarts=restarts)
+    fits = [_best_kmeans(points, k, seed, restarts) for k in range(1, k_max + 1)]
+    curve = _curve(fits)
     no_knee = False
     if fixed_k is not None:
         if not (1 <= fixed_k <= distinct):
@@ -248,7 +283,9 @@ def create_clusters(positions: dict[int, tuple[float, float]],
     else:
         chosen, no_knee = knee_point(curve)
 
-    best = _best_kmeans(points, chosen, seed, restarts)
+    # the curve's fits are seeded per k, so a chosen k on the curve is done
+    best = (fits[chosen - 1] if chosen <= k_max
+            else _best_kmeans(points, chosen, seed, restarts))
     return ClusterAssignment(
         k=chosen, station_ids=ids, labels=best.labels, centroids=best.centroids,
         wcss=best.wcss, wcss_curve=curve, no_knee=no_knee,

@@ -484,7 +484,7 @@ def train(dataset: Dataset, params: BoostParams, target: str = "x") -> BoostedMo
 
 
 def predict(model: BoostedModel, features) -> float | np.ndarray:
-    """Pure ensemble evaluation; accepts one row or a matrix."""
+    """Pure ensemble evaluation; accepts one row or a matrix of finite values."""
     arr = np.asarray(features, dtype=float)
     single = arr.ndim == 1
     if single:
@@ -493,6 +493,9 @@ def predict(model: BoostedModel, features) -> float | np.ndarray:
         raise PredictionError(
             f"feature shape {np.asarray(features).shape} does not match schema "
             f"of {len(model.feature_schema)} features")
+    bad = ~np.isfinite(arr).all(axis=1)
+    if bad.any():
+        raise PredictionError(f"feature row {int(bad.argmax())} is not finite")
     out = model.predict(arr)
     return float(out[0]) if single else out
 

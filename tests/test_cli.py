@@ -344,6 +344,28 @@ def test_run_demands_heads_when_clustering(chain, tmp_path, capsys):
     assert "--heads is required" in capsys.readouterr().err
 
 
+def test_run_rejects_heads_that_disagree_with_clusters(chain, tmp_path, capsys):
+    # Topologies are built from the clusters file; a heads file listing other
+    # members would be produced from a different clustering.
+    c = str(chain / "cfg.ini")
+    o = str(chain / "out")
+    payload = json.loads((chain / "out" / "heads.json").read_text())
+    first, second = payload["clusters"]["0"], payload["clusters"]["1"]
+    moved = next(s for s in first["member_ids"] if s != first["head_id"])
+    first["member_ids"][first["member_ids"].index(moved)] = second["member_ids"][0]
+    heads = tmp_path / "heads.json"
+    heads.write_text(json.dumps(payload))
+    code = cli.main(["run", "--config", c, "--out", str(tmp_path / "r"),
+                     "--mode", "centralized", "--clustering", "on",
+                     "--trace", f"{o}/trace.csv", "--clusters", f"{o}/clusters.json",
+                     "--heads", str(heads)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert (f"heads file {heads} disagrees with clusters file {o}/clusters.json "
+            f"on the members of cluster 0") in err
+    assert not (tmp_path / "r" / "records.csv").exists()
+
+
 def test_compare_report_count_exits_1(chain, tmp_path, capsys):
     code = cli.main(["compare", "--out", str(tmp_path / "c"),
                      "--reports", str(chain / "cen_on" / "report.json")])

@@ -4,9 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kmeans_reference as reference
 from fanetsim import (
+    ClusterAssignment,
     ClusteringError,
+    PipelineConfig,
+    SimConfig,
     create_clusters,
     elbow_curve,
     kmeans,
@@ -14,6 +20,7 @@ from fanetsim import (
     read_clusters,
     write_clusters,
 )
+from fanetsim import clustering, mobility
 
 
 def blob_points(seed, std=30.0, per=20):
@@ -202,8 +209,180 @@ def test_read_clusters_rejects_infinite_wcss(tmp_path):
         read_clusters(str(path))
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def assignments(draw):
+    k = draw(st.integers(1, 6))
+    ids = sorted(draw(st.sets(st.integers(-10**12, 10**12), min_size=1, max_size=12)))
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=len(ids), max_size=len(ids)))
+    curve = draw(st.lists(st.tuples(st.integers(1, 50), finite), max_size=10))
+    return ClusterAssignment(
+        k=k, station_ids=ids, labels=np.array(labels, dtype=np.intp),
+        centroids=np.array(draw(st.lists(st.tuples(finite, finite),
+                                         min_size=k, max_size=k))),
+        wcss=draw(finite), wcss_curve=curve, no_knee=draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(assignment=assignments())
+def test_clusters_roundtrip_property(tmp_path_factory, assignment):
+    path = tmp_path_factory.mktemp("rt") / "clusters.json"
+    write_clusters(assignment, str(path))
+    back = read_clusters(str(path))
+    assert back == assignment
+    assert back.centroids.tobytes() == assignment.centroids.tobytes()
+    first = path.read_bytes()
+    write_clusters(back, str(path))
+    assert path.read_bytes() == first
+
+
+@pytest.mark.parametrize("case, message", [
+    ("missing_key", "'wcss_curve'"),
+    ("extra_centroid", "centroid count != k"),
+    ("missing_centroid", "centroid count != k"),
+    ("label_too_large", "label out of range"),
+    ("negative_label", "label out of range"),
+])
+def test_read_clusters_rejects_malformed_payload(tmp_path, case, message):
+    path, payload = _clusters_payload(tmp_path)
+    if case == "missing_key":
+        del payload["wcss_curve"]
+    elif case == "extra_centroid":
+        payload["centroids"].append([1.0, 2.0])
+    elif case == "missing_centroid":
+        payload["centroids"].pop()
+    elif case == "label_too_large":
+        payload["assignment"]["3"] = payload["k"]
+    else:
+        payload["assignment"]["3"] = -1
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ClusteringError, match=f"clusters file {path}: {message}"):
+        read_clusters(str(path))
+
+
 def test_read_clusters_rejects_non_json(tmp_path):
     path = tmp_path / "clusters.json"
     path.write_text('{"k": 2,')
     with pytest.raises(ClusteringError, match=f"malformed clusters file {path}"):
         read_clusters(str(path))
+
+
+# --- the column kernel against the broadcast loop it replaced --------------
+
+def assert_same_run(new, ref):
+    """Equal assignments down to the bytes of every float, including the
+    per-pass WCSS that ClusterAssignment's == leaves out."""
+    assert new == ref
+    assert new.labels.dtype == ref.labels.dtype
+    assert new.centroids.tobytes() == ref.centroids.tobytes()
+    assert new.iteration_wcss == ref.iteration_wcss
+
+
+def oracle_points(rng, n, layout, scale):
+    if layout == "uniform":
+        pts = rng.uniform(0, 1000, size=(n, 2))
+    elif layout == "blobs":
+        centers = rng.uniform(0, 1000, size=(int(rng.integers(2, 6)), 2))
+        pts = centers[rng.integers(len(centers), size=n)] + rng.normal(0, 25, (n, 2))
+    else:
+        # 36 sites: co-located stations, duplicates and exact distance ties
+        pts = rng.integers(0, 6, size=(n, 2)) * 150.0
+    return pts * scale
+
+
+# (n, layout, restarts): the curve runs restarts x k_max Lloyd loops, so the
+# larger sets use fewer restarts to keep the oracle's broadcast loop cheap
+ORACLE_SETS = [(2, "uniform", 10), (3, "grid", 10), (7, "uniform", 10),
+               (12, "grid", 10), (40, "blobs", 10), (150, "grid", 10),
+               (300, "uniform", 5), (1000, "blobs", 1)]
+
+
+@pytest.mark.parametrize("scale, large", [(1e-3, "grid"), (1.0, "uniform"),
+                                          (1e6, "blobs")])
+def test_create_clusters_matches_broadcast_loop(scale, large):
+    rng = np.random.default_rng([7, int(np.log10(scale)) + 3])
+    for i, (n, layout, restarts) in enumerate(ORACLE_SETS + [(3000, large, 1)]):
+        pts = oracle_points(rng, n, layout, scale)
+        positions = {int(sid): tuple(p) for sid, p
+                     in zip(rng.permutation(10 * n)[:n], pts.tolist())}
+        distinct = np.unique(pts, axis=0).shape[0]
+        fixed_k = int(rng.integers(1, min(10, distinct) + 1)) if i % 2 else None
+        seed = int(rng.integers(1 << 30))
+        new = create_clusters(positions, seed=seed, restarts=restarts, fixed_k=fixed_k)
+        ref = reference.create_clusters(positions, seed=seed, restarts=restarts,
+                                        fixed_k=fixed_k)
+        assert_same_run(new, ref)
+
+
+def test_kmeans_and_elbow_curve_match_broadcast_loop():
+    rng = np.random.default_rng(11)
+    for k in range(1, 11):
+        n = int(rng.integers(k + 1, 600))
+        pts = oracle_points(rng, n, ("uniform", "blobs", "grid")[k % 3], 1.0)
+        k = min(k, np.unique(pts, axis=0).shape[0])
+        assert_same_run(kmeans(pts, k, seed=k), reference.kmeans(pts, k, seed=k))
+        assert (elbow_curve(pts, k, seed=k, restarts=3)
+                == reference.elbow_curve(pts, k, seed=k, restarts=3))
+
+
+def test_fixed_k_beyond_the_curve_matches_broadcast_loop():
+    # a pinned k on the curve reuses the curve's fit; one past it is fitted anew
+    pts = oracle_points(np.random.default_rng(3), 200, "blobs", 1.0)
+    positions = dict(enumerate(map(tuple, pts.tolist())))
+    for k_max, fixed_k in ((4, 4), (4, 7), (1, 2)):
+        new = create_clusters(positions, k_max=k_max, seed=k_max, fixed_k=fixed_k)
+        ref = reference.create_clusters(positions, k_max=k_max, seed=k_max,
+                                        fixed_k=fixed_k)
+        assert_same_run(new, ref)
+        assert new.k == fixed_k and len(new.wcss_curve) == k_max
+
+
+def test_repaired_empty_clusters_match_broadcast_loop(monkeypatch):
+    # k-means++ seeds at data points, so a first pass never leaves a cluster
+    # empty; a seed moved far outside the data makes every run repair one
+    def far_last_seed(points, k, rng, plusplus=clustering._init_plusplus):
+        centers = plusplus(points, k, rng)
+        if k > 1:
+            centers[-1] = points.max(axis=0) * 1e3 + 1e3
+        return centers
+
+    repairs = []
+
+    def counted_repair(*args, repair=clustering._repair_empty):
+        repairs.append(args[3].tolist())
+        return repair(*args)
+
+    monkeypatch.setattr(reference, "_init_plusplus", far_last_seed)
+    monkeypatch.setattr(clustering, "_init_plusplus", far_last_seed)
+    monkeypatch.setattr(clustering, "_repair_empty", counted_repair)
+    rng = np.random.default_rng(5)
+    for n, layout in ((9, "grid"), (60, "blobs"), (500, "uniform")):
+        pts = oracle_points(rng, n, layout, 1.0)
+        positions = dict(enumerate(map(tuple, pts.tolist())))
+        new = create_clusters(positions, seed=n, restarts=2)
+        ref = reference.create_clusters(positions, seed=n, restarts=2)
+        assert_same_run(new, ref)
+    assert len(repairs) > 20 and all(0 in counts for counts in repairs)
+
+
+def test_fleet_clusters_match_broadcast_loop():
+    cfg = PipelineConfig(sim=SimConfig(num_nodes=2000), duration=360.0,
+                         sample_interval=10.0).with_seed(1).validate()
+    trace = mobility.simulate_random_waypoint(cfg.arena_config())
+    positions = dict(zip(trace.station_ids,
+                         map(tuple, trace.positions[:, -1].tolist())))
+    args = dict(k_max=cfg.k_max, seed=cfg.cluster_seed(), restarts=cfg.restarts,
+                fixed_k=cfg.fixed_k)
+    assert_same_run(create_clusters(positions, **args),
+                    reference.create_clusters(positions, **args))
+
+
+def test_points_must_be_planar():
+    with pytest.raises(ClusteringError, match="2 columns"):
+        kmeans(np.arange(12.0).reshape(4, 3), 2)
+    with pytest.raises(ClusteringError, match="2 columns"):
+        elbow_curve(np.arange(4.0).reshape(4, 1), 2)
+    with pytest.raises(ClusteringError, match="2 columns"):
+        create_clusters({0: (1.0, 2.0, 3.0), 1: (4.0, 5.0, 6.0)})

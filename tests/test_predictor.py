@@ -260,6 +260,21 @@ def test_predict_shape_checks():
         predict(model, np.zeros(5))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predict_rejects_non_finite_features(bad):
+    # A NaN cell is not <= any threshold, so the walker would send the row
+    # right at every split and return a finite answer for it.
+    model = train_matrix(np.arange(8.0).reshape(4, 2), np.arange(4.0),
+                         BoostParams(num_rounds=2))
+    X = np.zeros((5, 2))
+    X[3, 1] = bad
+    X[4, 0] = bad
+    with pytest.raises(PredictionError, match="feature row 3 is not finite"):
+        predict(model, X)
+    with pytest.raises(PredictionError, match="feature row 0 is not finite"):
+        predict(model, X[3])
+
+
 def test_model_roundtrip(tmp_path):
     trace = simulate_random_waypoint(ArenaConfig(num_stations=3, duration=60.0, seed=4))
     ds = build_dataset(trace)
