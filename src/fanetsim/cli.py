@@ -62,7 +62,7 @@ def _require(path: str, what: str) -> str:
 def _prepare(args) -> tuple[PipelineConfig, str]:
     cfg = load_config(args.config) if args.config else PipelineConfig()
     if args.seed is not None:
-        cfg = cfg.with_seed(args.seed)
+        cfg = cfg.with_seed(args.seed).validate()
     out = args.out
     os.makedirs(out, exist_ok=True)
     save_config(cfg, os.path.join(out, ECHO_FILE))
@@ -145,12 +145,13 @@ def cmd_heads(args) -> None:
     assignment = clustering_mod.read_clusters(_require(args.clusters, "clusters"))
     preds = predictor.read_predictions(_require(args.predictions, "predictions"))
     radios = _station_radios(cfg, preds)
-    selection = headselect.select_heads(assignment, radios)
+    members = assignment.members()
+    selection = headselect.select_heads(members, radios)
     path = os.path.join(out, HEADS_FILE)
     headselect.write_heads(selection, path)
 
     sweep_lines = ["cluster,w,argmin_id"]
-    for cluster, member_ids in sorted(assignment.members().items()):
+    for cluster, member_ids in sorted(members.items()):
         if len(member_ids) < 2:
             continue
         tables = headselect.build_pairwise([radios[s] for s in member_ids])
@@ -163,11 +164,9 @@ def cmd_heads(args) -> None:
     print(f"wrote {path}: heads {heads_str}")
 
 
-def _check_heads_match(heads: headselect.HeadSelection,
-                       clusters: clustering_mod.ClusterAssignment,
+def _check_heads_match(heads: headselect.HeadSelection, members: dict[int, list[int]],
                        heads_path: str, clusters_path: str) -> None:
     """Each cluster's member list in heads.json must be its clusters.json one."""
-    members = clusters.members()
     listed = {c: sorted(ch.member_ids) for c, ch in heads.heads.items()}
     for c in sorted(members.keys() | listed.keys()):
         if listed.get(c) != members.get(c):
@@ -183,24 +182,25 @@ def cmd_run(args) -> None:
     positions = {sid: (x, y) for sid, (x, y)
                  in zip(trace.station_ids, trace.positions[:, -1].tolist())}
 
-    clusters = heads = None
+    members = head_ids = None
     needs_clusters = clustering_on or args.mode == "decentralized"
     if needs_clusters:
         if not args.clusters:
             raise FanetSimError(
                 f"missing clusters artifact: --clusters is required for "
                 f"mode={args.mode} clustering={args.clustering}")
-        clusters = clustering_mod.read_clusters(_require(args.clusters, "clusters"))
+        members = clustering_mod.read_clusters(_require(args.clusters, "clusters")).members()
     if clustering_on:
         if not args.heads:
             raise FanetSimError(
                 "missing heads artifact: --heads is required when clustering is on")
         heads = headselect.read_heads(_require(args.heads, "heads"))
-        _check_heads_match(heads, clusters, args.heads, args.clusters)
+        _check_heads_match(heads, members, args.heads, args.clusters)
+        head_ids = heads.head_ids()
 
     topo_cfg = cfg.topology_config(args.mode, clustering_on)
     topo = netsim.build_topology(
-        topo_cfg, positions, clusters=clusters, heads=heads,
+        topo_cfg, positions, clusters=members, heads=head_ids,
         arena=(cfg.sim.area_width, cfg.sim.area_height))
     workload = traffic.generate_workload(trace.station_ids, cfg.traffic_params())
     result = netsim.run_sim(topo, workload, horizon=cfg.duration)
@@ -253,7 +253,7 @@ def cmd_compare(args) -> None:
         lines = ["station_id," + ",".join(labels)]
         for sid in sids:
             lines.append(f"{sid}," + ",".join(
-                metrics.csv_cell(rep.stations[sid].metric(key) if sid in rep.stations else None)
+                metrics.csv_cell(getattr(rep.stations[sid], key) if sid in rep.stations else None)
                 for rep in reports))
         atomic_write_text(os.path.join(out, f"per_station_{key}.csv"),
                           "\n".join(lines) + "\n")

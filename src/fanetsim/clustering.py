@@ -16,8 +16,8 @@ from .errors import ClusteringError
 from .ioutil import atomic_write_json, load_json
 
 DEFAULT_RESTARTS = 10
-DEFAULT_MAX_ITERS = 100
-DEFAULT_TOL = 1e-6
+MAX_ITERS = 100
+TOL = 1e-6  # a run stops once every centroid moves less than this in a pass
 KNEE_FLAT_TOL = 1e-6
 
 
@@ -117,9 +117,7 @@ def _as_points(points) -> np.ndarray:
     return points
 
 
-def kmeans(points, k: int, seed=0,
-           max_iters: int = DEFAULT_MAX_ITERS, tol: float = DEFAULT_TOL,
-           rng: np.random.Generator | None = None) -> ClusterAssignment:
+def kmeans(points, k: int, seed=0) -> ClusterAssignment:
     """Lloyd's algorithm with k-means++ seeding, single run.
 
     Nearest-centroid ties go to the lowest cluster index; the WCSS recorded
@@ -130,13 +128,10 @@ def kmeans(points, k: int, seed=0,
         raise ClusteringError(f"k must be >= 1, got {k}")
     if np.unique(points, axis=0).shape[0] < k:
         raise ClusteringError(f"fewer than {k} distinct points")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    return _lloyd(points, k, rng, max_iters, tol)
+    return _lloyd(points, k, np.random.default_rng(seed))
 
 
-def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
-           max_iters: int, tol: float) -> ClusterAssignment:
+def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator) -> ClusterAssignment:
     """One unchecked run over an (n, 2) float array with >= k distinct rows.
 
     Works on the x and y columns separately and yields the floats of the
@@ -152,7 +147,7 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
     centroids = _init_plusplus(points, k, rng)
     labels = np.zeros(n, dtype=np.intp)
     iteration_wcss: list[float] = []
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         d2 = px - centroids[:, 0]
         d2 *= d2
         dy = py - centroids[:, 1]
@@ -168,7 +163,7 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
         new_centroids[:, 1] = np.bincount(labels, weights=y, minlength=k) / counts
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
-        if shift < tol:
+        if shift < TOL:
             break
     wcss = _sse(points, labels, centroids)
     return ClusterAssignment(
@@ -176,9 +171,7 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
         wcss=wcss, iteration_wcss=iteration_wcss)
 
 
-def _best_kmeans(points, k: int, seed: int, restarts: int,
-                 max_iters: int = DEFAULT_MAX_ITERS,
-                 tol: float = DEFAULT_TOL) -> ClusterAssignment:
+def _best_kmeans(points, k: int, seed: int, restarts: int) -> ClusterAssignment:
     """Best of `restarts` independent runs, ranked by (wcss, restart index).
 
     Unchecked: points must be an (n, 2) float array with >= k distinct rows.
@@ -186,7 +179,7 @@ def _best_kmeans(points, k: int, seed: int, restarts: int,
     best: ClusterAssignment | None = None
     for r in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence([seed, k, r]))
-        cand = _lloyd(points, k, rng, max_iters, tol)
+        cand = _lloyd(points, k, rng)
         if best is None or cand.wcss < best.wcss:
             best = cand
     assert best is not None

@@ -15,7 +15,7 @@ import math
 import os
 from dataclasses import dataclass, fields, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, FanetSimError
 from .ioutil import (CLUSTER_STREAM, MOBILITY_STREAM, RADIO_STREAM,
                      TRAFFIC_STREAM, atomic_write_text, substream_seed)
 from .mobility import ArenaConfig
@@ -103,10 +103,15 @@ class PipelineConfig:
                 value = getattr(part, f.name)
                 if isinstance(value, float) and not math.isfinite(value):
                     raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        if self.seed < 0:  # substream_seed cannot derive from a negative seed
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         self.arena_config()
         self.boost_params()
         self.traffic_params()
         self.topology_config("centralized", True)
+        if self.sim.min_power > self.sim.max_power:
+            raise ConfigError(f"min_power {self.sim.min_power} exceeds "
+                              f"max_power {self.sim.max_power}")
         if self.sweep_mode not in ("literal", "convex"):
             raise ConfigError(f"sweep_mode must be literal or convex, got {self.sweep_mode!r}")
         if self.sweep_grid < 2:
@@ -202,7 +207,10 @@ def load_config(path: str) -> PipelineConfig:
     if problems:
         raise ConfigError(f"{path}: {'; '.join(problems)}")
 
-    kwargs: dict = {"sim": SimConfig(**values.pop("simulation", {}))}
-    for section_values in values.values():
-        kwargs.update(section_values)
-    return PipelineConfig(**kwargs).validate()
+    try:
+        kwargs: dict = {"sim": SimConfig(**values.pop("simulation", {}))}
+        for section_values in values.values():
+            kwargs.update(section_values)
+        return PipelineConfig(**kwargs).validate()
+    except FanetSimError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

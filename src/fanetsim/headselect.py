@@ -177,14 +177,13 @@ def heuristic_score(sums: PairwiseSums) -> np.ndarray:
     return head_objective(sums.d_sum, sums.p_sum) / (m - 1)
 
 
-def select_heads(clusters, radios: dict[int, StationRadio]) -> HeadSelection:
+def select_heads(clusters: dict[int, list[int]],
+                 radios: dict[int, StationRadio]) -> HeadSelection:
     """Highest heuristic score per cluster; ties go to the lowest station_id.
 
-    clusters is either a cluster -> member-id map or any object exposing
-    members() that returns one. O(L * M^2) total work, O(M) extra space.
+    clusters maps cluster -> member station ids. O(L * M^2) total work, O(M)
+    extra space.
     """
-    if hasattr(clusters, "members"):
-        clusters = clusters.members()
     heads: dict[int, ClusterHead] = {}
     for cluster in sorted(clusters):
         member_ids = sorted(clusters[cluster])

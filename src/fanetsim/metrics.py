@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import MetricsError
 from .ioutil import atomic_write_json, atomic_write_text, load_json
-from .netsim import DELIVERED
+from .netsim import DELIVERED, MODES
 
 METRIC_KEYS = ("delay_ms", "jitter_ms", "throughput_bps")
 
@@ -30,23 +30,17 @@ class StationStats:
     jitter_ms: float | None
     throughput_bps: float | None
 
-    def metric(self, key: str) -> float | None:
-        return getattr(self, key)
-
 
 @dataclass
 class RunReport:
     duration: float
     stations: dict[int, StationStats]
     aggregates: dict[str, dict[str, float | None]]
-    mode: str | None = None
-    clustering: bool | None = None
+    mode: str
+    clustering: bool
 
     def label(self) -> str:
-        if self.mode is None and self.clustering is None:
-            return "run"
-        cl = {True: "clustered", False: "nonclustered", None: "?"}[self.clustering]
-        return f"{self.mode or '?'}-{cl}"
+        return f"{self.mode}-{'clustered' if self.clustering else 'nonclustered'}"
 
 
 @dataclass
@@ -64,7 +58,7 @@ def aggregate_stats(stations: dict[int, StationStats]) -> dict[str, dict[str, fl
     """Unweighted mean and population std across stations, skipping absent."""
     out = {}
     for key in METRIC_KEYS:
-        arr = np.array([v for s in stations.values() if (v := s.metric(key)) is not None],
+        arr = np.array([v for s in stations.values() if (v := getattr(s, key)) is not None],
                        dtype=float)
         out[key] = ({"mean": float(arr.mean()), "std": float(arr.std()), "count": arr.size}
                     if arr.size else {"mean": None, "std": None, "count": 0})
@@ -73,9 +67,9 @@ def aggregate_stats(stations: dict[int, StationStats]) -> dict[str, dict[str, fl
     return out
 
 
-def compute_report(result, duration: float, mode: str | None = None,
-                   clustering: bool | None = None) -> RunReport:
-    """Fold a netsim.SimResult into a per-station report.
+def compute_report(result, duration: float, mode: str, clustering: bool) -> RunReport:
+    """Fold a netsim.SimResult into a per-station report of the scenario run
+    in mode (one of netsim.MODES) with clustering on or off.
 
     duration is the shared measurement window used for throughput; using one
     value across scenarios keeps their throughputs comparable.
@@ -132,7 +126,7 @@ def compare(a: RunReport, b: RunReport) -> Comparison:
     for sid in sorted(a.stations):
         row: dict[str, float | None] = {}
         for key in METRIC_KEYS:
-            row[key], _ = _pct(a.stations[sid].metric(key), b.stations[sid].metric(key))
+            row[key], _ = _pct(getattr(a.stations[sid], key), getattr(b.stations[sid], key))
         per_station[sid] = row
     return Comparison(label_a=a.label(), label_b=b.label(), means=means,
                       percent=percent, zero_base=zero_base, raw_diff=raw_diff,
@@ -175,10 +169,14 @@ def read_report(json_path: str) -> RunReport:
         for s in stations.values():
             if not all(type(n) is int for n in (s.delivered, s.dropped, s.delivered_bytes)):
                 raise ValueError(f"station {s.station_id} counts are not all whole numbers")
+        mode, clustering = raw["mode"], raw["clustering"]
+        if mode not in MODES:
+            raise ValueError(f"mode {mode!r} is not one of {MODES}")
+        if type(clustering) is not bool:
+            raise ValueError(f"clustering {clustering!r} is not true or false")
         return RunReport(
             duration=float(raw["duration"]), stations=stations,
-            aggregates=raw["aggregates"], mode=raw["mode"],
-            clustering=raw["clustering"])
+            aggregates=raw["aggregates"], mode=mode, clustering=clustering)
     except (KeyError, TypeError, ValueError) as exc:
         raise MetricsError(f"malformed report file {json_path}: {exc}") from exc
 

@@ -191,14 +191,15 @@ def _check_range(hop: Hop, limit: float) -> Hop:
 
 
 def build_topology(config: TopologyConfig, positions: dict[int, tuple[float, float]],
-                   clusters=None, heads=None, *,
+                   clusters: dict[int, list[int]] | None = None,
+                   heads: dict[int, int] | None = None, *,
                    arena: tuple[float, float]) -> Topology:
     """Wire stations to servers for one scenario.
 
-    clusters maps cluster -> member station ids (or provides members());
-    heads maps cluster -> head station id (or provides head_ids()). Clusters
-    are required whenever clustering is on, and also for decentralized mode
-    with clustering off, where they only place the per-group servers.
+    clusters maps cluster -> member station ids; heads maps cluster -> head
+    station id. Clusters are required whenever clustering is on, and also for
+    decentralized mode with clustering off, where they only place the
+    per-group servers.
     """
     if not positions:
         raise TopologyError("no station positions")
@@ -208,11 +209,6 @@ def build_topology(config: TopologyConfig, positions: dict[int, tuple[float, flo
             raise TopologyError(f"station {sid} has a non-finite position ({x!r}, {y!r})")
     if not (math.isfinite(arena[0]) and math.isfinite(arena[1])):
         raise TopologyError(f"arena has a non-finite size {tuple(arena)!r}")
-
-    if clusters is not None and hasattr(clusters, "members"):
-        clusters = clusters.members()
-    if heads is not None and hasattr(heads, "head_ids"):
-        heads = heads.head_ids()
 
     needs_clusters = config.clustering or config.mode == "decentralized"
     if needs_clusters and clusters is None:

@@ -25,6 +25,7 @@ MIN_SPLIT_GAIN = 1e-12
 # On stock seeds 1-3, 256 bins gave ~6% higher held-out RMSE than 1024, and
 # 4096 bins no lower RMSE at over twice the training time.
 MAX_BINS = 1024
+VALIDATION_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -451,14 +452,14 @@ def train_matrix(X: np.ndarray, y: np.ndarray, params: BoostParams,
     return model
 
 
-def _validation_slice(dataset: Dataset, fraction: float = 0.1):
-    """Last `fraction` of each station's training rows, chronologically."""
+def _validation_slice(dataset: Dataset):
+    """Last VALIDATION_FRACTION of each station's training rows, chronologically."""
     train = dataset.train_idx
     stations = dataset.station_ids[train]
     fit_parts, val_parts = [], []
     for sid in np.unique(stations):
         rows = train[stations == sid]
-        n_val = int(math.floor(fraction * rows.size))
+        n_val = int(math.floor(VALIDATION_FRACTION * rows.size))
         if n_val == 0:
             fit_parts.append(rows)
         else:
@@ -483,21 +484,17 @@ def train(dataset: Dataset, params: BoostParams, target: str = "x") -> BoostedMo
         target=target, window=dataset.window)
 
 
-def predict(model: BoostedModel, features) -> float | np.ndarray:
-    """Pure ensemble evaluation; accepts one row or a matrix of finite values."""
-    arr = np.asarray(features, dtype=float)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != len(model.feature_schema):
+def predict(model: BoostedModel, X) -> np.ndarray:
+    """Pure ensemble evaluation of an (n, features) matrix of finite values."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != len(model.feature_schema):
         raise PredictionError(
-            f"feature shape {np.asarray(features).shape} does not match schema "
+            f"feature shape {X.shape} does not match schema "
             f"of {len(model.feature_schema)} features")
-    bad = ~np.isfinite(arr).all(axis=1)
+    bad = ~np.isfinite(X).all(axis=1)
     if bad.any():
         raise PredictionError(f"feature row {int(bad.argmax())} is not finite")
-    out = model.predict(arr)
-    return float(out[0]) if single else out
+    return model.predict(X)
 
 
 def evaluate_rmse(model: BoostedModel, X: np.ndarray, y: np.ndarray):

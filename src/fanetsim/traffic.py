@@ -74,32 +74,30 @@ def _draw_sizes(rng: np.random.Generator, params: TrafficParams, n: int) -> np.n
     raise ConfigError("packet size bounds reject nearly every draw; widen them")
 
 
-def _draw_flow(station_id: int, params: TrafficParams,
-               seed: int | None) -> tuple[np.ndarray, np.ndarray]:
+def _draw_flow(station_id: int, params: TrafficParams) -> tuple[np.ndarray, np.ndarray]:
     """One station's packet sizes and creation times."""
     if station_id < 0:
         raise ConfigError(f"station_id must be >= 0, got {station_id}")
-    master = params.seed if seed is None else seed
-    rng = np.random.default_rng([master, station_id])
+    rng = np.random.default_rng([params.seed, station_id])
     n = params.packets_per_station
     sizes = _draw_sizes(rng, params, n)
     gaps = rng.exponential(params.mean_interarrival, n)
     return sizes, np.cumsum(gaps)
 
 
-def generate_flow(station_id: int, params: TrafficParams, seed: int | None = None) -> list[Packet]:
+def generate_flow(station_id: int, params: TrafficParams) -> list[Packet]:
     """Deterministic flow for one station.
 
-    The station substream hashes (seed, station_id), so flows are independent
-    of each other and of how many stations exist. Sizes are drawn first, then
-    inter-arrival gaps; creation times are the gap cumulative sum.
+    The station substream hashes (params.seed, station_id), so flows are
+    independent of each other and of how many stations exist. Sizes are drawn
+    first, then inter-arrival gaps; creation times are the gap cumulative sum.
     """
-    sizes, times = _draw_flow(station_id, params, seed)
+    sizes, times = _draw_flow(station_id, params)
     return [Packet(packet_id(station_id, i), station_id, size, t)
             for i, (size, t) in enumerate(zip(sizes.tolist(), times.tolist()))]
 
 
-def generate_workload(station_ids, params: TrafficParams, seed: int | None = None) -> np.ndarray:
+def generate_workload(station_ids, params: TrafficParams) -> np.ndarray:
     """Flows for every station in one PACKET_DTYPE table, sorted by
     (creation_time, packet_id)."""
     ids = sorted(station_ids)
@@ -111,7 +109,7 @@ def generate_workload(station_ids, params: TrafficParams, seed: int | None = Non
     packets = np.empty(len(ids) * n, dtype=PACKET_DTYPE)
     for k, sid in enumerate(ids):
         flow = packets[k * n:(k + 1) * n]
-        flow["size"], flow["creation_time"] = _draw_flow(sid, params, seed)
+        flow["size"], flow["creation_time"] = _draw_flow(sid, params)
         flow["packet_id"] = packet_id(sid, np.arange(n))
         flow["src"] = sid
     return packets[np.lexsort((packets["packet_id"], packets["creation_time"]))]

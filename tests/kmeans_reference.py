@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from fanetsim.clustering import (
-    DEFAULT_MAX_ITERS,
     DEFAULT_RESTARTS,
-    DEFAULT_TOL,
+    MAX_ITERS as DEFAULT_MAX_ITERS,
+    TOL as DEFAULT_TOL,
     ClusterAssignment,
     _init_plusplus,
     _repair_empty,

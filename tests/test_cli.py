@@ -400,6 +400,18 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys):
     assert not (out / "trace.csv").exists()
 
 
+def test_inverted_power_bounds_and_negative_seed_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[simulation]\nmin_power = 90\nmax_power = 10\n")
+    out = tmp_path / "o"
+    assert cli.main(["mobility", "--config", str(bad), "--out", str(out)]) == 2
+    assert f"{bad}: min_power 90.0 exceeds max_power 10.0" in capsys.readouterr().err
+    # a negative seed used to reach numpy's SeedSequence and end in a traceback
+    assert cli.main(["mobility", "--seed", "-1", "--out", str(out)]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
+
+
 def test_bench_writes_artifacts(tmp_path):
     out = tmp_path / "bench"
     assert cli.main(["bench", "--out", str(out), "--m-values", "64", "128",

@@ -107,6 +107,36 @@ def test_bad_value_rejected(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("section,key,raw,message", [
+    ("pipeline", "seed", "-1", "seed must be >= 0, got -1"),
+    ("simulation", "num_nodes", "0", "num_nodes must be >= 1, got 0"),
+    ("mobility", "sample_interval", "0", "sample_interval must be > 0, got 0.0"),
+    ("predictor", "num_rounds", "0", "num_rounds must be >= 1, got 0"),
+    ("clustering", "restarts", "0", "restarts must be >= 1, got 0"),
+    ("heads", "sweep_grid", "1", "sweep_grid must be >= 2, got 1"),
+    ("traffic", "min_size", "0", "bad size bounds [0, 2048]"),
+    ("topology", "queue_capacity", "-1", "queue_capacity must be >= 0"),
+])
+def test_value_error_names_the_file(tmp_path, section, key, raw, message):
+    path = tmp_path / "cfg.ini"
+    path.write_text(f"[{section}]\n{key} = {raw}\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_inverted_power_bounds_rejected(tmp_path):
+    # rng.uniform(90, 10) would still draw, from a range numpy leaves undefined
+    path = tmp_path / "cfg.ini"
+    path.write_text("[simulation]\nmin_power = 90\nmax_power = 10\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert str(err.value) == f"{path}: min_power 90.0 exceeds max_power 10.0"
+    with pytest.raises(ConfigError, match="min_power"):
+        PipelineConfig(sim=SimConfig(min_power=80.5, max_power=80.0)).validate()
+    PipelineConfig(sim=SimConfig(min_power=70.0, max_power=70.0)).validate()
+
+
 def test_partial_file_keeps_defaults(tmp_path):
     path = tmp_path / "cfg.ini"
     path.write_text("[mobility]\nduration = 60.0\n")

@@ -1,12 +1,17 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanetsim import (
     BenchmarkError,
+    ClusterHead,
+    HeadSelection,
     KDTree,
     SelectionError,
     StationRadio,
@@ -367,9 +372,9 @@ def test_heads_roundtrip(tmp_path):
     assert back.head_ids() == selection.head_ids()
     assert back.heads[0].member_ids == selection.heads[0].member_ids
 
-    path.write_text('{"heads": {"0": {"head_id": 5, "member_ids": [1, 2],'
+    path.write_text('{"clusters": {"0": {"head_id": 5, "member_ids": [1, 2],'
                     ' "method": "heuristic", "w": null, "scores": []}}}')
-    with pytest.raises(SelectionError):
+    with pytest.raises(SelectionError, match="head 5 not in cluster 0"):
         read_heads(str(path))
 
 
@@ -388,4 +393,39 @@ def test_read_heads_rejects_colliding_cluster_keys(tmp_path):
     path.write_text(json.dumps({"clusters": {"1": dict(entry, head_id=4, member_ids=[4]),
                                              "01": entry}}))
     with pytest.raises(SelectionError, match=f"heads file {path}: cluster keys collide"):
+        read_heads(str(path))
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_head_entry = st.lists(st.integers(0, 10**9), min_size=1, max_size=6, unique=True).flatmap(
+    lambda ids: st.tuples(st.just(ids), st.sampled_from(ids),
+                          st.lists(_finite, min_size=len(ids), max_size=len(ids)),
+                          st.none() | _finite))
+
+
+@settings(max_examples=60, deadline=None)
+@given(entries=st.dictionaries(st.integers(-10**4, 10**4), _head_entry, max_size=5))
+def test_heads_roundtrip_property(tmp_path_factory, entries):
+    selection = HeadSelection({c: ClusterHead(c, head, "heuristic", w, ids, scores)
+                               for c, (ids, head, scores, w) in entries.items()})
+    out = tmp_path_factory.mktemp("heads")
+    write_heads(selection, str(out / "a.json"))
+    back = read_heads(str(out / "a.json"))
+    assert back == selection
+    write_heads(back, str(out / "b.json"))
+    assert (out / "a.json").read_bytes() == (out / "b.json").read_bytes()
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda e: e.pop("member_ids"), "malformed heads file {path}: 'member_ids'"),
+    (lambda e: e.update(head_id=9), "heads file {path}: head 9 not in cluster 0"),
+])
+def test_read_heads_rejects_malformed_entry(tmp_path, change, message):
+    radios = {r.station_id: r for r in collinear_trio()}
+    path = tmp_path / "heads.json"
+    write_heads(select_heads({0: [0, 1, 2]}, radios), str(path))
+    payload = json.loads(path.read_text())
+    change(payload["clusters"]["0"])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SelectionError, match=re.escape(message.format(path=path))):
         read_heads(str(path))

@@ -28,8 +28,8 @@ def rec(pid, src, size=1000, send=0.0, deliver=None, reason=None):
         drop_reason=reason)
 
 
-def report_of(records, duration, **labels):
-    return compute_report(table_of(records), duration, **labels)
+def report_of(records, duration, mode="centralized", clustering=True):
+    return compute_report(table_of(records), duration, mode, clustering)
 
 
 def test_jitter_mean_absolute_consecutive_difference():
@@ -103,7 +103,7 @@ def test_compute_report_validation_and_labels():
     report = report_of([rec(0, 0, deliver=0.001)], 1.0,
                             mode="decentralized", clustering=False)
     assert report.label() == "decentralized-nonclustered"
-    assert report_of([], 1.0).label() == "run"
+    assert report_of([], 1.0).label() == "centralized-clustered"
 
 
 def test_compare_percentages():
@@ -194,17 +194,17 @@ def reference_compute_report(records, duration):
         nbytes = int(sum(r.size for r in delivered))
         stations[sid] = StationStats(sid, len(delivered), dropped, nbytes,
                                      float(delays.mean()), jitter, nbytes / duration)
-    return RunReport(duration, stations, aggregate_stats(stations))
+    return RunReport(duration, stations, aggregate_stats(stations), "centralized", True)
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_compute_report_matches_per_record_fold(seed):
     table = random_table(seed)
-    report = compute_report(table, 7.5)
+    report = compute_report(table, 7.5, "centralized", True)
     assert report == reference_compute_report(list(table), 7.5)
     # the fold does not lean on packet_id order, whatever order the rows come in
     shuffled = take(table, np.random.default_rng(seed).permutation(len(table)))
-    assert compute_report(shuffled, 7.5) == report
+    assert compute_report(shuffled, 7.5, "centralized", True) == report
     delivered = sorted(s.delivered for s in report.stations.values())
     assert delivered[:2] == [0, 1] and delivered[2] > 1
     assert any(np.unique(table.delivery_time[table.src == sid]).size
@@ -213,7 +213,7 @@ def test_compute_report_matches_per_record_fold(seed):
 
 
 def test_report_fields_are_python_scalars():
-    report = compute_report(random_table(3), 2.0)
+    report = compute_report(random_table(3), 2.0, "decentralized", False)
     assert all("np." not in repr(stats) for stats in report.stations.values())
 
 
@@ -226,8 +226,8 @@ _station = st.builds(
 @settings(max_examples=60, deadline=None)
 @given(stations=st.dictionaries(st.integers(0, 10**4), _station, max_size=6),
        duration=st.floats(min_value=1e-3, max_value=1e6),
-       mode=st.sampled_from([None, "centralized", "decentralized"]),
-       clustering=st.sampled_from([None, True, False]))
+       mode=st.sampled_from(["centralized", "decentralized"]),
+       clustering=st.booleans())
 def test_report_roundtrip_property(tmp_path_factory, stations, duration, mode, clustering):
     stats = {sid: StationStats(sid, *fields) for sid, fields in stations.items()}
     report = RunReport(duration, stats, aggregate_stats(stats), mode, clustering)
@@ -266,4 +266,18 @@ def test_read_report_rejects_non_json(tmp_path):
     path, _ = _written_report(tmp_path)
     path.write_text('{"mode": "centralized",')
     with pytest.raises(MetricsError, match=f"malformed report file {path}"):
+        read_report(str(path))
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("mode", None, "mode None is not one of"),
+    ("mode", "hybrid", "mode 'hybrid' is not one of"),
+    ("clustering", None, "clustering None is not true or false"),
+    ("clustering", 1, "clustering 1 is not true or false"),
+])
+def test_read_report_rejects_unlabeled_run(tmp_path, key, value, message):
+    path, payload = _written_report(tmp_path)
+    payload[key] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(MetricsError, match=f"malformed report file {path}: {message}"):
         read_report(str(path))

@@ -254,10 +254,10 @@ def test_evaluate_rmse_persistence_columns():
 
 def test_predict_shape_checks():
     model = train_matrix(np.zeros((4, 2)), np.arange(4.0), BoostParams(num_rounds=1))
-    assert isinstance(predict(model, np.zeros(2)), float)
     assert predict(model, np.zeros((3, 2))).shape == (3,)
-    with pytest.raises(PredictionError):
-        predict(model, np.zeros(5))
+    for bad in (np.zeros(2), np.zeros(5), np.zeros((3, 5))):
+        with pytest.raises(PredictionError, match="does not match schema"):
+            predict(model, bad)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -272,7 +272,7 @@ def test_predict_rejects_non_finite_features(bad):
     with pytest.raises(PredictionError, match="feature row 3 is not finite"):
         predict(model, X)
     with pytest.raises(PredictionError, match="feature row 0 is not finite"):
-        predict(model, X[3])
+        predict(model, X[3:4])
 
 
 def test_model_roundtrip(tmp_path):
@@ -409,8 +409,8 @@ def test_predict_positions_batch_equals_per_row_path(tmp_path):
     dt = trace.times[1] - trace.times[0]
     per_row = {}
     for sid in trace.station_ids:
-        row = _feature_rows(trace.positions[sid], np.array([t]), 3, dt)[0]
-        px, py = predict(mx, row), predict(my, row)
+        row = _feature_rows(trace.positions[sid], np.array([t]), 3, dt)
+        px, py = float(predict(mx, row)[0]), float(predict(my, row)[0])
         per_row[sid] = (min(max(px, 0.0), bounds[0]), min(max(py, 0.0), bounds[1]))
     assert batched == per_row
     write_predictions(batched, str(tmp_path / "a.csv"))
