@@ -108,7 +108,7 @@ def cmd_predict(args) -> None:
     trace = mobility.read_trace(_require(args.trace, "trace"), cfg.arena_config())
     model_x = predictor.load_model(_require(args.model_x, "x model"))
     model_y = predictor.load_model(_require(args.model_y, "y model"))
-    at_time = args.at if args.at is not None else float(trace.times[-1])
+    at_time = float(trace.times[-1])
     preds = predictor.predict_positions(
         model_x, model_y, trace, at_time, (cfg.sim.area_width, cfg.sim.area_height))
     path = os.path.join(out, PREDICTIONS_FILE)
@@ -182,9 +182,9 @@ def cmd_run(args) -> None:
     positions = {sid: (x, y) for sid, (x, y)
                  in zip(trace.station_ids, trace.positions[:, -1].tolist())}
 
+    topo_cfg = cfg.topology_config(args.mode, clustering_on)
     members = head_ids = None
-    needs_clusters = clustering_on or args.mode == "decentralized"
-    if needs_clusters:
+    if topo_cfg.needs_clusters:
         if not args.clusters:
             raise FanetSimError(
                 f"missing clusters artifact: --clusters is required for "
@@ -198,7 +198,6 @@ def cmd_run(args) -> None:
         _check_heads_match(heads, members, args.heads, args.clusters)
         head_ids = heads.head_ids()
 
-    topo_cfg = cfg.topology_config(args.mode, clustering_on)
     topo = netsim.build_topology(
         topo_cfg, positions, clusters=members, heads=head_ids,
         arena=(cfg.sim.area_width, cfg.sim.area_height))
@@ -433,11 +432,10 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", parents=[common],
-                       help="predict station positions at a timestamp")
+                       help="predict station positions at the end of the trace")
     p.add_argument("--trace", required=True)
     p.add_argument("--model-x", required=True)
     p.add_argument("--model-y", required=True)
-    p.add_argument("--at", type=float, help="timestamp (default: end of trace)")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("cluster", parents=[common],
@@ -453,7 +451,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("run", parents=[common],
                        help="simulate packet delivery for one scenario")
-    p.add_argument("--mode", required=True, choices=["centralized", "decentralized"])
+    p.add_argument("--mode", required=True, choices=netsim.MODES)
     p.add_argument("--clustering", required=True, choices=["on", "off"])
     p.add_argument("--trace", required=True)
     p.add_argument("--clusters")

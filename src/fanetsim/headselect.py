@@ -312,10 +312,12 @@ def _fit_slope(ms: list[int], times_ns: list[int]) -> float:
 
 def bench_ch(m_values: list[int], repetitions: int = 5, k: int = 16,
              seed: int = 0) -> BenchResult:
-    """Median wall time of both selector variants as cluster size grows.
+    """Median CPU time of both selector variants as cluster size grows.
 
     The all-pairs series times the election's own kernel (_pairwise_sums)
-    and its argmax; the kNN series times the k-d tree selector.
+    and its argmax; the kNN series times the k-d tree selector. Samples are
+    the calling thread's CPU time, without BLAS worker threads, so host load
+    does not stretch them as it stretches wall time.
 
     Also emits analytic reference series (values are log10 of nanoseconds,
     anchored at the first measured point) for growth-rate comparison plots:
@@ -342,9 +344,9 @@ def bench_ch(m_values: list[int], repetitions: int = 5, k: int = 16,
             fn()
             samples = []
             for _ in range(repetitions):
-                t0 = time.perf_counter_ns()
+                t0 = time.thread_time_ns()
                 fn()
-                samples.append(time.perf_counter_ns() - t0)
+                samples.append(time.thread_time_ns() - t0)
             m_ns = int(statistics.median(samples))
             rows.append((method, m, m_ns))
             med[method].append(m_ns)

@@ -4,10 +4,10 @@ Stations upload packets to a server either directly or through their cluster
 head. Every hop is served by the receiving side's channel: one shared air
 channel when clustering is off, one channel per cluster plus a backbone when
 it is on. Centralized runs use a single server (and a single backbone
-channel); decentralized runs give every cluster its own server. A channel
-transmits one packet at a time; others wait in a bounded FIFO queue and are
-dropped on overflow. Hop latency is queue wait + serialization + propagation
-+ a fixed processing delay.
+channel); decentralized runs give every cluster its own server and its own
+backbone channel. A channel transmits one packet at a time; others wait in a
+bounded FIFO queue and are dropped on overflow. Hop latency is queue wait +
+serialization + propagation + a fixed processing delay.
 
 Engine. Every path is fixed and a hop only feeds the next hop's channel, so
 the channels form a DAG (cluster channel -> backbone). run_sim visits the
@@ -88,10 +88,16 @@ class TopologyConfig:
         if self.radio_range <= 0:
             raise ConfigError("radio_range must be > 0")
 
+    @property
+    def needs_clusters(self) -> bool:
+        """Clustered runs route through clusters; decentralized runs place
+        one server per cluster."""
+        return self.clustering or self.mode == "decentralized"
+
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Scenario parameter sheet, echoed into every report."""
+    """Scenario parameter sheet, echoed into config_echo.ini (not into reports)."""
     area_width: float = 500.0
     area_height: float = 500.0
     num_nodes: int = 25
@@ -183,13 +189,6 @@ def _distance(a, b) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
-def _check_range(hop: Hop, limit: float) -> Hop:
-    if hop.distance > limit:
-        raise TopologyError(
-            f"hop {hop.src}->{hop.dst} spans {hop.distance:.1f} m, beyond range {limit} m")
-    return hop
-
-
 def build_topology(config: TopologyConfig, positions: dict[int, tuple[float, float]],
                    clusters: dict[int, list[int]] | None = None,
                    heads: dict[int, int] | None = None, *,
@@ -197,9 +196,11 @@ def build_topology(config: TopologyConfig, positions: dict[int, tuple[float, flo
     """Wire stations to servers for one scenario.
 
     clusters maps cluster -> member station ids; heads maps cluster -> head
-    station id. Clusters are required whenever clustering is on, and also for
-    decentralized mode with clustering off, where they only place the
-    per-group servers.
+    station id. Clusters are required when config.needs_clusters; with
+    clustering off they only place the per-cluster servers. The mode decides
+    one thing: which server and backbone serve cluster c. A clustered station
+    reaches that server through its head, a non-clustered one goes straight
+    to the nearest server.
     """
     if not positions:
         raise TopologyError("no station positions")
@@ -210,8 +211,7 @@ def build_topology(config: TopologyConfig, positions: dict[int, tuple[float, flo
     if not (math.isfinite(arena[0]) and math.isfinite(arena[1])):
         raise TopologyError(f"arena has a non-finite size {tuple(arena)!r}")
 
-    needs_clusters = config.clustering or config.mode == "decentralized"
-    if needs_clusters and clusters is None:
+    if config.needs_clusters and clusters is None:
         raise TopologyError(f"{config.mode} mode with clustering="
                             f"{'on' if config.clustering else 'off'} requires clusters")
     if config.clustering and heads is None:
@@ -232,55 +232,45 @@ def build_topology(config: TopologyConfig, positions: dict[int, tuple[float, flo
                     raise TopologyError(
                         f"head {heads[c]} is not a member of cluster {c}")
 
+    servers: dict[str, tuple[float, float]] = {}
+    channels: dict[str, float] = {}
+    paths: dict[int, tuple[Hop, ...]] = {}
+
+    def hop(src: int, dst, channel: str) -> Hop:
+        """Station src to station or server dst, within radio range."""
+        distance = _distance(stations[src], servers[dst] if dst in servers else stations[dst])
+        if distance > config.radio_range:
+            raise TopologyError(f"hop {src}->{dst} spans {distance:.1f} m, "
+                                f"beyond range {config.radio_range} m")
+        return Hop(str(src), str(dst), distance, channel)
+
     def centroid(member_ids):
         xs = [stations[s][0] for s in member_ids]
         ys = [stations[s][1] for s in member_ids]
         return (sum(xs) / len(xs), sum(ys) / len(ys))
 
-    servers: dict[str, tuple[float, float]] = {}
-    if config.mode == "centralized":
-        servers["server"] = (arena[0] / 2.0, arena[1] / 2.0)
-    else:
-        for c in sorted(clusters):
-            servers[f"server{c}"] = centroid(clusters[c])
-
-    channels: dict[str, float] = {}
-    paths: dict[int, tuple[Hop, ...]] = {}
-
-    if config.clustering:
-        if config.mode == "centralized":
-            channels["backbone"] = config.backbone_bitrate
-        for c in sorted(clusters):
+    # Without clusters (centralized, clustering off) all stations form one group.
+    groups = clusters if clusters is not None else {0: list(stations)}
+    for c in sorted(groups):
+        server, backbone, where = (
+            ("server", "backbone", (arena[0] / 2.0, arena[1] / 2.0))
+            if config.mode == "centralized"
+            else (f"server{c}", f"backbone{c}", centroid(groups[c])))
+        servers[server] = where
+        if config.clustering:
             channels[f"cluster{c}"] = config.link_bitrate
-            if config.mode == "decentralized":
-                channels[f"backbone{c}"] = config.backbone_bitrate
-        for c in sorted(clusters):
+            channels[backbone] = config.backbone_bitrate
             head = heads[c]
-            server = "server" if config.mode == "centralized" else f"server{c}"
-            backbone = "backbone" if config.mode == "centralized" else f"backbone{c}"
-            head_hop = _check_range(
-                Hop(str(head), server, _distance(stations[head], servers[server]),
-                    backbone), config.radio_range)
-            for sid in sorted(clusters[c]):
-                if sid == head:
-                    paths[sid] = (head_hop,)
-                else:
-                    member_hop = _check_range(
-                        Hop(str(sid), str(head),
-                            _distance(stations[sid], stations[head]), f"cluster{c}"),
-                        config.radio_range)
-                    paths[sid] = (member_hop, head_hop)
-    else:
+            head_hop = hop(head, server, backbone)
+            for sid in sorted(groups[c]):
+                paths[sid] = ((head_hop,) if sid == head
+                              else (hop(sid, head, f"cluster{c}"), head_hop))
+    if not config.clustering:
         channels["air"] = config.link_bitrate
         names = sorted(servers)
         for sid in sorted(stations):
-            if config.mode == "centralized":
-                target = "server"
-            else:
-                target = min(names, key=lambda nm: (_distance(stations[sid], servers[nm]), nm))
-            paths[sid] = (_check_range(
-                Hop(str(sid), target, _distance(stations[sid], servers[target]), "air"),
-                config.radio_range),)
+            target = min(names, key=lambda nm: (_distance(stations[sid], servers[nm]), nm))
+            paths[sid] = (hop(sid, target, "air"),)
 
     return Topology(config=config, stations=stations, servers=servers,
                     paths=paths, channels=channels)

@@ -453,21 +453,16 @@ def train_matrix(X: np.ndarray, y: np.ndarray, params: BoostParams,
 
 
 def _validation_slice(dataset: Dataset):
-    """Last VALIDATION_FRACTION of each station's training rows, chronologically."""
+    """Last VALIDATION_FRACTION of each station's training rows, chronologically.
+
+    build_dataset gives every station the same number of training rows, in
+    one block per station, so the split is one column cut. An empty training
+    set reshapes to a single empty row.
+    """
     train = dataset.train_idx
-    stations = dataset.station_ids[train]
-    fit_parts, val_parts = [], []
-    for sid in np.unique(stations):
-        rows = train[stations == sid]
-        n_val = int(math.floor(VALIDATION_FRACTION * rows.size))
-        if n_val == 0:
-            fit_parts.append(rows)
-        else:
-            fit_parts.append(rows[:-n_val])
-            val_parts.append(rows[-n_val:])
-    fit_idx = np.concatenate(fit_parts) if fit_parts else np.empty(0, dtype=np.intp)
-    val_idx = np.concatenate(val_parts) if val_parts else np.empty(0, dtype=np.intp)
-    return fit_idx, val_idx
+    rows = train.reshape(np.unique(dataset.station_ids[train]).size or 1, -1)
+    cut = rows.shape[1] - int(math.floor(VALIDATION_FRACTION * rows.shape[1]))
+    return rows[:, :cut].ravel(), rows[:, cut:].ravel()
 
 
 def train(dataset: Dataset, params: BoostParams, target: str = "x") -> BoostedModel:

@@ -374,12 +374,15 @@ def test_compare_report_count_exits_1(chain, tmp_path, capsys):
 
 
 def test_usage_errors_exit_1():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["no-such-command"])
-    assert exc.value.code == 1
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["run", "--mode", "centralized"])  # missing required flags
-    assert exc.value.code == 1
+    for argv in (["no-such-command"],
+                 ["run", "--mode", "centralized"],  # missing required flags
+                 ["run", "--mode", "mesh", "--clustering", "on", "--trace", "t.csv"],
+                 # predict forecasts the trace's last sample only; --at is gone
+                 ["predict", "--trace", "t.csv", "--model-x", "x.json",
+                  "--model-y", "y.json", "--at", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1, argv
 
 
 def test_bad_config_value_exits_2(tmp_path, capsys):

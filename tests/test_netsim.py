@@ -3,6 +3,7 @@ import heapq
 import itertools
 import math
 import random
+import re
 from collections import deque
 
 import numpy as np
@@ -24,8 +25,9 @@ from fanetsim import (
     generate_workload,
     run_sim,
 )
-from fanetsim.netsim import write_records
+from fanetsim.netsim import MODES, write_records
 from simtables import random_table, table_of, take
+import topology_reference
 
 # closed-form per-hop latency pieces at the defaults
 TX_1024 = 1024 * 8 / 10e6
@@ -179,6 +181,66 @@ def test_nearest_server_ties_use_lowest_name():
         arena=(500.0, 500.0))
     assert topo.servers["server0"] == topo.servers["server1"] == (50.0, 50.0)
     assert all(p[0].dst == "server0" for p in topo.paths.values())
+
+
+def _random_scenario(rng):
+    """Sparse station ids, positions (on a coarse grid half the time, so
+    positions repeat and nearest-server distances tie), a partition into
+    clusters with shuffled member lists and a head per cluster. Cluster keys
+    are 0..k-1 or sparse, and k runs up to the station count."""
+    n = int(rng.integers(1, 41))
+    ids = rng.choice(10_000, size=n, replace=False).tolist()
+    arena = (float(rng.uniform(50.0, 800.0)), float(rng.uniform(50.0, 800.0)))
+    if rng.random() < 0.5:
+        xy = rng.integers(0, 5, size=(n, 2)) * (arena[0] / 4, arena[1] / 4)
+    else:
+        xy = rng.uniform(0.0, arena, size=(n, 2))
+    positions = dict(zip(ids, map(tuple, xy.tolist())))
+    k = int(rng.integers(1, n + 1))
+    keys = (sorted(rng.choice(100, size=k, replace=False).tolist())
+            if rng.random() < 0.5 else list(range(k)))
+    order = rng.permutation(ids).tolist()
+    labels = list(range(k)) + rng.integers(0, k, size=n - k).tolist()
+    clusters = {key: [] for key in keys}
+    for sid, label in zip(order, labels):
+        clusters[keys[label]].append(sid)
+    heads = {c: members[int(rng.integers(len(members)))] for c, members in clusters.items()}
+    radio_range = 5000.0 if rng.random() < 0.7 else float(rng.uniform(10.0, 400.0))
+    return positions, clusters, heads, arena, radio_range
+
+
+def _wiring(topo):
+    """Servers and paths in order with floats as hex, channels as a dict."""
+    return ([(name, tuple(map(float.hex, xy))) for name, xy in topo.servers.items()],
+            [(sid, [(h.src, h.dst, h.distance.hex(), h.channel) for h in path])
+             for sid, path in topo.paths.items()],
+            topo.channels)
+
+
+def test_build_topology_matches_reference_wiring():
+    rng = np.random.default_rng(2024)
+    seen = dict.fromkeys(("singleton", "eleven+", "sparse keys", "range error", "built"), 0)
+    for _ in range(400):
+        positions, clusters, heads, arena, radio_range = _random_scenario(rng)
+        seen["singleton"] += any(len(m) == 1 for m in clusters.values())
+        seen["eleven+"] += len(clusters) >= 11
+        seen["sparse keys"] += sorted(clusters) != list(range(len(clusters)))
+        scenarios = [(m, c, clusters) for m in MODES for c in (True, False)]
+        for mode, clustering, given in scenarios + [("centralized", False, None)]:
+            cfg = TopologyConfig(mode=mode, clustering=clustering, radio_range=radio_range)
+            args = (cfg, positions, given, heads if clustering else None)
+            try:
+                want = topology_reference.build_topology(*args, arena=arena)
+            except TopologyError as exc:
+                with pytest.raises(TopologyError, match=f"^{re.escape(str(exc))}$"):
+                    build_topology(*args, arena=arena)
+                seen["range error"] += 1
+                continue
+            got = build_topology(*args, arena=arena)
+            assert _wiring(got) == _wiring(want), (mode, clustering, clusters)
+            assert got.stations == want.stations
+            seen["built"] += 1
+    assert all(seen.values()), seen
 
 
 def test_topology_requirements():

@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -141,6 +142,41 @@ def test_split_is_chronological_per_station():
         te = ds.times[ds.test_idx[ds.station_ids[ds.test_idx] == sid]]
         assert tr.max() < te.min()
         assert len(tr) + len(te) == (ds.station_ids == sid).sum()
+
+
+def loop_validation_slice(dataset):
+    """The per-station loop _validation_slice replaced, kept as its oracle."""
+    train = dataset.train_idx
+    stations = dataset.station_ids[train]
+    fit_parts, val_parts = [], []
+    for sid in np.unique(stations):
+        rows = train[stations == sid]
+        n_val = int(math.floor(predictor.VALIDATION_FRACTION * rows.size))
+        if n_val == 0:
+            fit_parts.append(rows)
+        else:
+            fit_parts.append(rows[:-n_val])
+            val_parts.append(rows[-n_val:])
+    fit_idx = np.concatenate(fit_parts) if fit_parts else np.empty(0, dtype=np.intp)
+    val_idx = np.concatenate(val_parts) if val_parts else np.empty(0, dtype=np.intp)
+    return fit_idx, val_idx
+
+
+@pytest.mark.parametrize("samples, h, horizon, fraction", [
+    (60, 5, 1, 0.8),   # 43 training rows per station: 4 go to validation
+    (45, 3, 4, 0.7),   # horizon > 1
+    (12, 2, 1, 0.8),   # 7 training rows per station: no validation rows
+    (4, 2, 1, 0.5),    # 1 anchor per station: no training rows at all
+])
+def test_validation_slice_matches_per_station_loop(samples, h, horizon, fraction):
+    rng = np.random.default_rng(samples)
+    ids = sorted(rng.choice(1000, size=4, replace=False).tolist())  # sparse ids
+    trace = Trace(np.arange(samples, dtype=float), ids,
+                  rng.uniform(0.0, 500.0, size=(4, samples, 2)))
+    ds = build_dataset(trace, h=h, horizon=horizon, train_fraction=fraction)
+    for got, want in zip(predictor._validation_slice(ds), loop_validation_slice(ds)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 def test_constant_target_is_exact():
