@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ClusteringError
-from .ioutil import atomic_write_json, load_json
+from .ioutil import atomic_write_json, json_object, load_json
 
 DEFAULT_RESTARTS = 10
 MAX_ITERS = 100
@@ -301,7 +301,7 @@ def write_clusters(assignment: ClusterAssignment, path: str) -> None:
 def read_clusters(path: str) -> ClusterAssignment:
     try:
         raw = load_json(path)
-        ids = sorted(int(s) for s in raw["assignment"])
+        ids = sorted(int(s) for s in json_object(raw, "assignment"))
         labels = np.array([raw["assignment"][str(sid)] for sid in ids], dtype=np.intp)
         centroids = np.array(raw["centroids"], dtype=float)
         k = int(raw["k"])
@@ -320,4 +320,11 @@ def read_clusters(path: str) -> ClusterAssignment:
         raise ClusteringError(f"clusters file {path}: centroid count != k")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ClusteringError(f"clusters file {path}: label out of range")
+    # As _curve writes it: k = 1, 2, ... and prefix minima of the WCSS.
+    curve_wcss = np.array([w for _, w in result.wcss_curve])
+    if [k_ for k_, _ in result.wcss_curve] != list(range(1, curve_wcss.size + 1)):
+        raise ClusteringError(f"clusters file {path}: wcss_curve k does not run 1, 2, ...")
+    if not (np.isfinite(curve_wcss).all() and (np.diff(curve_wcss) <= 0).all()):
+        raise ClusteringError(
+            f"clusters file {path}: wcss_curve is not finite and non-increasing")
     return result

@@ -33,8 +33,6 @@ class PipelineConfig:
     duration: float = 3600.0
     max_depth: int = 6
     learning_rate: float = 0.1
-    colsample: float = 1.0
-    subsample: float = 1.0
     num_rounds: int = 100
     early_stop_patience: int = 10
     min_samples_leaf: int = 2
@@ -70,9 +68,8 @@ class PipelineConfig:
     def boost_params(self) -> BoostParams:
         return BoostParams(
             max_depth=self.max_depth, learning_rate=self.learning_rate,
-            colsample=self.colsample, subsample=self.subsample,
             num_rounds=self.num_rounds, early_stop_patience=self.early_stop_patience,
-            min_samples_leaf=self.min_samples_leaf, seed=self.seed)
+            min_samples_leaf=self.min_samples_leaf)
 
     def traffic_params(self) -> TrafficParams:
         return TrafficParams(
@@ -145,10 +142,9 @@ _SCHEMAS: dict[str, dict] = {
     "simulation": _SIM_TYPES,
     "mobility": {"pause_time": float, "sample_interval": float, "duration": float},
     "predictor": {
-        "max_depth": int, "learning_rate": float, "colsample": float,
-        "subsample": float, "num_rounds": int, "early_stop_patience": int,
-        "min_samples_leaf": int, "history_length": int, "horizon": int,
-        "train_fraction": float,
+        "max_depth": int, "learning_rate": float, "num_rounds": int,
+        "early_stop_patience": int, "min_samples_leaf": int,
+        "history_length": int, "horizon": int, "train_fraction": float,
     },
     "clustering": {"k_max": _opt_int, "restarts": int, "fixed_k": _opt_int},
     "heads": {"sweep_mode": str, "sweep_grid": int},

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BenchmarkError, SelectionError
-from .ioutil import atomic_write_json, atomic_write_text, load_json
+from .ioutil import atomic_write_json, atomic_write_text, json_object, load_json
 from .spatial import KDTree
 
 PATH_LOSS_EXPONENT = 2.0
@@ -404,7 +404,7 @@ def read_heads(path: str) -> HeadSelection:
     try:
         raw = load_json(path)
         heads = {}
-        for c_str, entry in raw["clusters"].items():
+        for c_str, entry in json_object(raw, "clusters").items():
             c = int(c_str)
             heads[c] = ClusterHead(
                 cluster=c, head_id=int(entry["head_id"]), method=str(entry["method"]),

@@ -44,3 +44,11 @@ def atomic_write_json(path: str, obj) -> None:
 def load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def json_object(raw, key: str) -> dict:
+    """raw[key], which must be a JSON object; raises TypeError naming the key."""
+    value = raw[key]
+    if not isinstance(value, dict):
+        raise TypeError(f"{key!r} is not a JSON object")
+    return value

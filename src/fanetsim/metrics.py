@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MetricsError
-from .ioutil import atomic_write_json, atomic_write_text, load_json
+from .ioutil import atomic_write_json, atomic_write_text, json_object, load_json
 from .netsim import DELIVERED, MODES
 
 METRIC_KEYS = ("delay_ms", "jitter_ms", "throughput_bps")
@@ -55,10 +55,12 @@ class Comparison:
 
 
 def aggregate_stats(stations: dict[int, StationStats]) -> dict[str, dict[str, float | None]]:
-    """Unweighted mean and population std across stations, skipping absent."""
+    """Unweighted mean and population std across stations, skipping absent,
+    reduced in id order so read_report recomputes the same floats."""
+    ordered = [stations[sid] for sid in sorted(stations)]
     out = {}
     for key in METRIC_KEYS:
-        arr = np.array([v for s in stations.values() if (v := getattr(s, key)) is not None],
+        arr = np.array([v for s in ordered if (v := getattr(s, key)) is not None],
                        dtype=float)
         out[key] = ({"mean": float(arr.mean()), "std": float(arr.std()), "count": arr.size}
                     if arr.size else {"mean": None, "std": None, "count": 0})
@@ -165,7 +167,7 @@ def read_report(json_path: str) -> RunReport:
     try:
         raw = load_json(json_path)
         stations = {int(sid): StationStats(int(sid), **{k: s[k] for k in _STATS_KEYS})
-                    for sid, s in raw["stations"].items()}
+                    for sid, s in json_object(raw, "stations").items()}
         for s in stations.values():
             if not all(type(n) is int for n in (s.delivered, s.dropped, s.delivered_bytes)):
                 raise ValueError(f"station {s.station_id} counts are not all whole numbers")
@@ -174,9 +176,12 @@ def read_report(json_path: str) -> RunReport:
             raise ValueError(f"mode {mode!r} is not one of {MODES}")
         if type(clustering) is not bool:
             raise ValueError(f"clustering {clustering!r} is not true or false")
+        aggregates = aggregate_stats(stations)
+        if raw["aggregates"] != aggregates:
+            raise ValueError("aggregates differ from those of the stations")
         return RunReport(
             duration=float(raw["duration"]), stations=stations,
-            aggregates=raw["aggregates"], mode=mode, clustering=clustering)
+            aggregates=aggregates, mode=mode, clustering=clustering)
     except (KeyError, TypeError, ValueError) as exc:
         raise MetricsError(f"malformed report file {json_path}: {exc}") from exc
 

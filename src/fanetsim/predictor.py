@@ -4,10 +4,10 @@ Self-contained implementation: squared-error loss, histogram split finding
 (each feature quantile-binned once into at most MAX_BINS bins, per-node
 residual histograms with sibling subtraction, as in XGBoost's `hist` method
 and LightGBM), midpoint thresholds between neighbouring training values,
-mean-residual leaves, shrinkage, optional row/feature subsampling, and early
-stopping on a held-back chronological validation slice. Two independent
-models (one per coordinate) share one feature layout: the last h positions
-plus the finite-difference velocity at the newest lag.
+mean-residual leaves, shrinkage, and early stopping on a held-back
+chronological validation slice; every tree fits all rows and features. Two
+independent models (one per coordinate) share one feature layout: the last
+h positions plus the finite-difference velocity at the newest lag.
 """
 
 from __future__ import annotations
@@ -32,22 +32,15 @@ VALIDATION_FRACTION = 0.1
 class BoostParams:
     max_depth: int = 6
     learning_rate: float = 0.1
-    colsample: float = 1.0
-    subsample: float = 1.0
     num_rounds: int = 100
     early_stop_patience: int = 10
     min_samples_leaf: int = 2
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_depth < 1:
             raise TrainingError(f"max_depth must be >= 1, got {self.max_depth}")
         if not 0 < self.learning_rate <= 1:
             raise TrainingError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
-        if not 0 < self.colsample <= 1:
-            raise TrainingError(f"colsample must be in (0, 1], got {self.colsample}")
-        if not 0 < self.subsample <= 1:
-            raise TrainingError(f"subsample must be in (0, 1], got {self.subsample}")
         if self.num_rounds < 1:
             raise TrainingError(f"num_rounds must be >= 1, got {self.num_rounds}")
         if self.early_stop_patience < 0:
@@ -56,8 +49,6 @@ class BoostParams:
         if self.min_samples_leaf < 1:
             raise TrainingError(
                 f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
-        if self.seed < 0:
-            raise TrainingError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -256,13 +247,10 @@ class _TreeBuilder:
     on `code <= bin` exactly as the `x <= threshold` test prediction uses.
     """
 
-    def __init__(self, bins: _Bins, residual: np.ndarray, params: BoostParams,
-                 feature_ids: np.ndarray, row_ids: np.ndarray):
+    def __init__(self, bins: _Bins, residual: np.ndarray, params: BoostParams):
         self.bins = bins
         self.residual = residual
         self.params = params
-        self.feature_ids = feature_ids
-        self.row_ids = row_ids
         self.nodes_feature: list[int] = []
         self.nodes_threshold: list[float] = []
         self.nodes_left: list[int] = []
@@ -283,16 +271,18 @@ class _TreeBuilder:
                 and rows.size >= 2 * self.params.min_samples_leaf)
 
     def _histograms(self, rows: np.ndarray):
-        every = rows.size == self.residual.size  # no gather, counts copied
-        block = self.bins.codes if every else self.bins.codes.take(rows, axis=1)
-        g = self.residual if every else self.residual[rows]
-        sums = np.empty((self.feature_ids.size, MAX_BINS))
-        counts = (self.bins.population[self.feature_ids] if every
-                  else np.empty((self.feature_ids.size, MAX_BINS), dtype=np.int64))
-        for i, f in enumerate(self.feature_ids):
-            sums[i] = np.bincount(block[f], weights=g, minlength=MAX_BINS)
-            if not every:
-                counts[i] = np.bincount(block[f], minlength=MAX_BINS)
+        # Only the root holds every row: no gather, and its counts are the bin
+        # populations, copied as sibling subtraction decrements counts in place.
+        root = rows.size == self.residual.size
+        block = self.bins.codes if root else self.bins.codes.take(rows, axis=1)
+        g = self.residual if root else self.residual[rows]
+        sums = np.empty((block.shape[0], MAX_BINS))
+        counts = (self.bins.population.copy() if root
+                  else np.empty((block.shape[0], MAX_BINS), dtype=np.int64))
+        for f, codes in enumerate(block):
+            sums[f] = np.bincount(codes, weights=g, minlength=MAX_BINS)
+            if not root:
+                counts[f] = np.bincount(codes, minlength=MAX_BINS)
         return sums, counts
 
     def _best_split(self, sums: np.ndarray, counts: np.ndarray, n: int):
@@ -300,26 +290,26 @@ class _TreeBuilder:
         # the last); partial sums keep the subtraction noise of empty bins.
         msl = self.params.min_samples_leaf
         occupied = np.flatnonzero(counts > 0)
-        row = occupied // MAX_BINS
+        feature = occupied // MAX_BINS
         cum = np.cumsum(sums, axis=1)
         total = cum[:, -1]
         cum = cum.ravel()[occupied]
         n_left = np.cumsum(counts, axis=1, dtype=float).ravel()[occupied]
         n_right = n - n_left
         with np.errstate(divide="ignore", invalid="ignore"):
-            gains = (cum * cum / n_left + (total[row] - cum) ** 2 / n_right
-                     - (total * total / n)[row])
+            gains = (cum * cum / n_left + (total[feature] - cum) ** 2 / n_right
+                     - (total * total / n)[feature])
         gains[(n_left < msl) | (n_right < msl)] = -np.inf
         pos = int(np.argmax(gains))
         if not gains[pos] > MIN_SPLIT_GAIN:
             return None
-        i, b = divmod(int(occupied[pos]), MAX_BINS)
-        f, nxt = int(self.feature_ids[i]), int(occupied[pos + 1]) % MAX_BINS
+        f, b = divmod(int(occupied[pos]), MAX_BINS)
+        nxt = int(occupied[pos + 1]) % MAX_BINS
         return f, b, _midpoint(self.bins.high[f, b], self.bins.low[f, nxt])
 
     def build(self) -> int:
         root = self._new_node()
-        rows = self.row_ids
+        rows = np.arange(self.residual.size)
         hist = self._histograms(rows) if self._splittable(rows, 0) else None
         frontier = [(root, 0, rows, hist)]
         while frontier:
@@ -383,7 +373,6 @@ def train_matrix(X: np.ndarray, y: np.ndarray, params: BoostParams,
     if len(feature_schema) != n_features:
         raise TrainingError("feature_schema length does not match matrix width")
 
-    rng = np.random.default_rng(params.seed)
     base = float(y.mean())
     pred = np.full(n, base)
     model = BoostedModel(target=target, params=params, base_prediction=base,
@@ -403,31 +392,14 @@ def train_matrix(X: np.ndarray, y: np.ndarray, params: BoostParams,
     stall = 0
 
     bins = _Bins.from_matrix(X)
-    all_rows = np.arange(n)
-    all_feats = np.arange(n_features)
+    lr = params.learning_rate
     for _ in range(params.num_rounds):
-        if params.subsample < 1:
-            m = max(1, int(math.floor(params.subsample * n)))
-            rows = np.sort(rng.choice(n, size=m, replace=False))
-        else:
-            rows = all_rows
-        if params.colsample < 1:
-            m = max(1, int(math.floor(params.colsample * n_features)))
-            feats = np.sort(rng.choice(n_features, size=m, replace=False))
-        else:
-            feats = all_feats
-
-        residual = y - pred
-        builder = _TreeBuilder(bins, residual, params, feats, rows)
+        builder = _TreeBuilder(bins, y - pred, params)
         builder.build()
         tree = builder.to_tree()
-        lr = params.learning_rate
-        if params.subsample < 1:
-            pred += lr * tree.predict_matrix(X)
-        else:
-            # Leaf membership is already known for every training row.
-            for node, leaf_rows in builder.leaf_rows:
-                pred[leaf_rows] += lr * tree.value[node]
+        # The builder knows every training row's leaf, so no tree walk.
+        for node, rows in builder.leaf_rows:
+            pred[rows] += lr * tree.value[node]
         model.trees.append(tree)
         model.train_rmse.append(float(np.sqrt(np.mean((y - pred) ** 2))))
 

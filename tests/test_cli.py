@@ -366,6 +366,54 @@ def test_run_rejects_heads_that_disagree_with_clusters(chain, tmp_path, capsys):
     assert not (tmp_path / "r" / "records.csv").exists()
 
 
+def _rising_curve(payload):
+    payload["wcss_curve"][2][1] = payload["wcss_curve"][1][1] + 1.0
+
+
+@pytest.mark.parametrize("name,change,message", [
+    ("heads.json", lambda p: p.update(clusters=[]),
+     "malformed heads file {bad}: 'clusters' is not a JSON object"),
+    ("clusters.json", lambda p: p.update(assignment=[]),
+     "malformed clusters file {bad}: 'assignment' is not a JSON object"),
+    ("clusters.json", _rising_curve,
+     "clusters file {bad}: wcss_curve is not finite and non-increasing"),
+    ("clusters.json", lambda p: p["wcss_curve"].pop(1),
+     "clusters file {bad}: wcss_curve k does not run 1, 2, ..."),
+    ("report.json", lambda p: p.update(stations=[]),
+     "malformed report file {bad}: 'stations' is not a JSON object"),
+    ("report.json", lambda p: p["aggregates"].pop("delay_ms"),
+     "malformed report file {bad}: aggregates differ from those of the stations"),
+    ("model_x.json", lambda p: p["params"].update(colsample=1.0, subsample=1.0, seed=3),
+     "malformed model file {bad}: … unexpected keyword argument 'colsample'"),
+], ids=["heads_list", "assignment_list", "rising_curve", "skipped_k", "stations_list",
+        "aggregates_missing", "old_model_params"])
+def test_malformed_artifact_exits_2(chain, tmp_path, capsys, name, change, message):
+    # Each of these used to end in a traceback or load without complaint.
+    o = chain / "out"
+    src = chain / "cen_on" / name if name == "report.json" else o / name
+    payload = json.loads(src.read_text())
+    change(payload)
+    bad = tmp_path / name
+    bad.write_text(json.dumps(payload))
+    path = {n: str(bad if n == name else o / n)
+            for n in ("heads.json", "clusters.json", "model_x.json")}
+    common = ["--config", str(chain / "cfg.ini"), "--out", str(tmp_path / "r")]
+    if name == "report.json":
+        argv = ["compare", *common, "--reports", str(bad),
+                str(chain / "cen_off" / "report.json")]
+    elif name == "model_x.json":
+        argv = ["predict", *common, "--trace", str(o / "trace.csv"),
+                "--model-x", path[name], "--model-y", str(o / "model_y.json")]
+    else:
+        argv = ["run", *common, "--mode", "centralized", "--clustering", "on",
+                "--trace", str(o / "trace.csv"), "--clusters", path["clusters.json"],
+                "--heads", path["heads.json"]]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    for part in message.format(bad=bad).split(" … "):
+        assert part in err
+
+
 def test_compare_report_count_exits_1(chain, tmp_path, capsys):
     code = cli.main(["compare", "--out", str(tmp_path / "c"),
                      "--reports", str(chain / "cen_on" / "report.json")])
@@ -387,11 +435,14 @@ def test_usage_errors_exit_1():
 
 def test_bad_config_value_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
-    bad.write_text("[pipeline]\nseed = 1\nmystery = 2\n")
-    code = cli.main(["mobility", "--config", str(bad),
-                     "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert "mystery" in capsys.readouterr().err
+    # subsample: a config echo from before the booster lost row subsampling
+    for text, key in [("[pipeline]\nseed = 1\nmystery = 2\n", "mystery"),
+                      ("[predictor]\nsubsample = 0.5\n", "subsample")]:
+        bad.write_text(text)
+        code = cli.main(["mobility", "--config", str(bad),
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{bad}: unrecognized key {key!r}" in capsys.readouterr().err
 
 
 def test_non_finite_config_value_exits_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -217,7 +218,9 @@ def assignments(draw):
     k = draw(st.integers(1, 6))
     ids = sorted(draw(st.sets(st.integers(-10**12, 10**12), min_size=1, max_size=12)))
     labels = draw(st.lists(st.integers(0, k - 1), min_size=len(ids), max_size=len(ids)))
-    curve = draw(st.lists(st.tuples(st.integers(1, 50), finite), max_size=10))
+    # as _curve writes it: k = 1, 2, ... with non-increasing finite WCSS
+    curve = list(enumerate(sorted(draw(st.lists(finite, max_size=10)), reverse=True),
+                           start=1))
     return ClusterAssignment(
         k=k, station_ids=ids, labels=np.array(labels, dtype=np.intp),
         centroids=np.array(draw(st.lists(st.tuples(finite, finite),
@@ -244,6 +247,9 @@ def test_clusters_roundtrip_property(tmp_path_factory, assignment):
     ("missing_centroid", "centroid count != k"),
     ("label_too_large", "label out of range"),
     ("negative_label", "label out of range"),
+    ("assignment_list", "'assignment' is not a JSON object"),
+    ("rising_curve", "wcss_curve is not finite and non-increasing"),
+    ("skipped_k", "wcss_curve k does not run 1, 2, ..."),
 ])
 def test_read_clusters_rejects_malformed_payload(tmp_path, case, message):
     path, payload = _clusters_payload(tmp_path)
@@ -255,10 +261,16 @@ def test_read_clusters_rejects_malformed_payload(tmp_path, case, message):
         payload["centroids"].pop()
     elif case == "label_too_large":
         payload["assignment"]["3"] = payload["k"]
-    else:
+    elif case == "negative_label":
         payload["assignment"]["3"] = -1
+    elif case == "assignment_list":
+        payload["assignment"] = []  # used to load as a clustering of no stations
+    elif case == "rising_curve":
+        payload["wcss_curve"][2][1] = payload["wcss_curve"][1][1] + 1.0
+    else:
+        del payload["wcss_curve"][1]
     path.write_text(json.dumps(payload))
-    with pytest.raises(ClusteringError, match=f"clusters file {path}: {message}"):
+    with pytest.raises(ClusteringError, match=re.escape(f"clusters file {path}: {message}")):
         read_clusters(str(path))
 
 

@@ -56,9 +56,14 @@ def test_unknown_section_rejected(tmp_path):
 
 def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "cfg.ini"
-    path.write_text("[mobility]\npause_time = 1.0\nwarp_speed = 9\n")
-    with pytest.raises(ConfigError, match="warp_speed"):
-        load_config(str(path))
+    # subsample: written by versions whose booster drew row samples
+    for text, key, section in [("[mobility]\npause_time = 1.0\nwarp_speed = 9\n",
+                                "warp_speed", "mobility"),
+                               ("[predictor]\nsubsample = 0.5\n", "subsample", "predictor")]:
+        path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path))
+        assert str(err.value) == f"{path}: unrecognized key {key!r} in section [{section}]"
 
 
 def test_removed_simulation_key_rejected(tmp_path):

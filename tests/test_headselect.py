@@ -417,15 +417,19 @@ def test_heads_roundtrip_property(tmp_path_factory, entries):
 
 
 @pytest.mark.parametrize("change,message", [
-    (lambda e: e.pop("member_ids"), "malformed heads file {path}: 'member_ids'"),
-    (lambda e: e.update(head_id=9), "heads file {path}: head 9 not in cluster 0"),
+    (lambda p: p["clusters"]["0"].pop("member_ids"),
+     "malformed heads file {path}: 'member_ids'"),
+    (lambda p: p["clusters"]["0"].update(head_id=9),
+     "heads file {path}: head 9 not in cluster 0"),
+    (lambda p: p.update(clusters=[]),  # used to end in an AttributeError
+     "malformed heads file {path}: 'clusters' is not a JSON object"),
 ])
 def test_read_heads_rejects_malformed_entry(tmp_path, change, message):
     radios = {r.station_id: r for r in collinear_trio()}
     path = tmp_path / "heads.json"
     write_heads(select_heads({0: [0, 1, 2]}, radios), str(path))
     payload = json.loads(path.read_text())
-    change(payload["clusters"]["0"])
+    change(payload)
     path.write_text(json.dumps(payload))
     with pytest.raises(SelectionError, match=re.escape(message.format(path=path))):
         read_heads(str(path))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -280,4 +281,24 @@ def test_read_report_rejects_unlabeled_run(tmp_path, key, value, message):
     payload[key] = value
     path.write_text(json.dumps(payload))
     with pytest.raises(MetricsError, match=f"malformed report file {path}: {message}"):
+        read_report(str(path))
+
+
+@pytest.mark.parametrize("case,message", [
+    # each used to end in an AttributeError or KeyError traceback in `compare`
+    ("stations_list", "'stations' is not a JSON object"),
+    ("aggregate_missing", "aggregates differ from those of the stations"),
+    # and a wrong mean used to be compared without a word
+    ("aggregate_wrong", "aggregates differ from those of the stations"),
+])
+def test_read_report_rejects_malformed_payload(tmp_path, case, message):
+    path, payload = _written_report(tmp_path)
+    if case == "stations_list":
+        payload["stations"] = []
+    elif case == "aggregate_missing":
+        del payload["aggregates"]["delay_ms"]
+    else:
+        payload["aggregates"]["delay_ms"]["mean"] += 1.0
+    path.write_text(json.dumps(payload))
+    with pytest.raises(MetricsError, match=re.escape(f"malformed report file {path}: {message}")):
         read_report(str(path))
