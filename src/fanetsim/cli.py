@@ -108,19 +108,18 @@ def cmd_predict(args) -> None:
     trace = mobility.read_trace(_require(args.trace, "trace"), cfg.arena_config())
     model_x = predictor.load_model(_require(args.model_x, "x model"))
     model_y = predictor.load_model(_require(args.model_y, "y model"))
-    at_time = float(trace.times[-1])
     preds = predictor.predict_positions(
-        model_x, model_y, trace, at_time, (cfg.sim.area_width, cfg.sim.area_height))
+        model_x, model_y, trace, (cfg.sim.area_width, cfg.sim.area_height))
     path = os.path.join(out, PREDICTIONS_FILE)
     predictor.write_predictions(preds, path)
-    print(f"wrote {path}: {len(preds)} stations at t={at_time:g}")
+    print(f"wrote {path}: {len(preds)} stations at t={trace.times[-1]:g}")
 
 
 def cmd_cluster(args) -> None:
     cfg, out = _prepare(args)
     preds = predictor.read_predictions(_require(args.predictions, "predictions"))
     assignment = clustering_mod.create_clusters(
-        preds, k_max=cfg.k_max, seed=cfg.cluster_seed(),
+        preds, seed=cfg.cluster_seed(),
         restarts=cfg.restarts, fixed_k=cfg.fixed_k)
     path = os.path.join(out, CLUSTERS_FILE)
     clustering_mod.write_clusters(assignment, path)
@@ -155,7 +154,7 @@ def cmd_heads(args) -> None:
         if len(member_ids) < 2:
             continue
         tables = headselect.build_pairwise([radios[s] for s in member_ids])
-        sweep = headselect.weight_sweep(tables, cfg.sweep_grid, mode=cfg.sweep_mode)
+        sweep = headselect.weight_sweep(tables)
         for w, sid in zip(sweep.w_grid, sweep.argmin_ids):
             sweep_lines.append(f"{cluster},{w!r},{sid}")
     atomic_write_text(os.path.join(out, SWEEP_FILE), "\n".join(sweep_lines) + "\n")

@@ -316,6 +316,8 @@ def read_clusters(path: str) -> ClusterAssignment:
         raise ClusteringError(f"clusters file {path}: station ids collide as integers")
     if not (np.isfinite(centroids).all() and np.isfinite(result.wcss)):
         raise ClusteringError(f"clusters file {path}: non-finite centroid or wcss")
+    if centroids.ndim != 2 or centroids.shape[1] != 2:
+        raise ClusteringError(f"clusters file {path}: centroids are not (x, y) pairs")
     if centroids.shape[0] != k:
         raise ClusteringError(f"clusters file {path}: centroid count != k")
     if labels.size and (labels.min() < 0 or labels.max() >= k):

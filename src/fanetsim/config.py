@@ -39,11 +39,8 @@ class PipelineConfig:
     history_length: int = 5
     horizon: int = 1
     train_fraction: float = 0.8
-    k_max: int | None = None
     restarts: int = 10
     fixed_k: int | None = 3
-    sweep_mode: str = "literal"
-    sweep_grid: int = 11
     min_size: int = 256
     max_size: int = 2048
     mean_interarrival: float = 0.030
@@ -109,14 +106,8 @@ class PipelineConfig:
         if self.sim.min_power > self.sim.max_power:
             raise ConfigError(f"min_power {self.sim.min_power} exceeds "
                               f"max_power {self.sim.max_power}")
-        if self.sweep_mode not in ("literal", "convex"):
-            raise ConfigError(f"sweep_mode must be literal or convex, got {self.sweep_mode!r}")
-        if self.sweep_grid < 2:
-            raise ConfigError(f"sweep_grid must be >= 2, got {self.sweep_grid}")
         if self.restarts < 1:
             raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
-        if self.k_max is not None and self.k_max < 1:
-            raise ConfigError(f"k_max must be >= 1, got {self.k_max}")
         if self.fixed_k is not None and self.fixed_k < 1:
             raise ConfigError(f"fixed_k must be >= 1, got {self.fixed_k}")
         if not 0 < self.train_fraction < 1:
@@ -146,8 +137,7 @@ _SCHEMAS: dict[str, dict] = {
         "early_stop_patience": int, "min_samples_leaf": int,
         "history_length": int, "horizon": int, "train_fraction": float,
     },
-    "clustering": {"k_max": _opt_int, "restarts": int, "fixed_k": _opt_int},
-    "heads": {"sweep_mode": str, "sweep_grid": int},
+    "clustering": {"restarts": int, "fixed_k": _opt_int},
     "traffic": {"min_size": int, "max_size": int, "mean_interarrival": float,
                 "packets_per_station": int},
     "topology": {"link_bitrate": float, "backbone_bitrate": float,
@@ -181,7 +171,7 @@ def load_config(path: str) -> PipelineConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cp.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 
     problems: list[str] = []

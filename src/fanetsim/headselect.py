@@ -64,8 +64,6 @@ class PairwiseSums:
 class ClusterHead:
     cluster: int
     head_id: int
-    method: str
-    w: float | None
     member_ids: list[int]
     scores: list[float]
 
@@ -80,13 +78,11 @@ class HeadSelection:
 
 @dataclass(frozen=True)
 class WeightSweep:
-    station_ids: list[int]
     w_grid: np.ndarray
     objectives: np.ndarray
     argmin_ids: list[int]
     dist_sum: np.ndarray
     power_sum: np.ndarray
-    mode: str
 
 
 def received_power(tx: StationRadio, rx: StationRadio) -> float:
@@ -196,9 +192,9 @@ def select_heads(clusters: dict[int, list[int]],
         sums = build_pairwise(members)
         scores = heuristic_score(sums)
         head_id = sums.station_ids[int(np.argmax(scores))]
-        heads[cluster] = ClusterHead(
-            cluster=cluster, head_id=head_id, method="heuristic", w=None,
-            member_ids=sums.station_ids, scores=[float(s) for s in scores])
+        heads[cluster] = ClusterHead(cluster=cluster, head_id=head_id,
+                                     member_ids=sums.station_ids,
+                                     scores=[float(s) for s in scores])
     return HeadSelection(heads=heads)
 
 
@@ -244,9 +240,8 @@ def weight_sweep(sums: PairwiseSums, grid_size: int = 11,
     else:
         objectives = (1.0 - w_grid[:, None]) * a[None, :] - w_grid[:, None] * b[None, :]
     argmin_ids = [sums.station_ids[int(np.argmin(row))] for row in objectives]
-    return WeightSweep(
-        station_ids=list(sums.station_ids), w_grid=w_grid, objectives=objectives,
-        argmin_ids=argmin_ids, dist_sum=a, power_sum=b, mode=mode)
+    return WeightSweep(w_grid=w_grid, objectives=objectives,
+                       argmin_ids=argmin_ids, dist_sum=a, power_sum=b)
 
 
 def knn_head(members: list[StationRadio], k: int = 1) -> int:
@@ -389,8 +384,6 @@ def write_heads(selection: HeadSelection, path: str) -> None:
         "clusters": {
             str(c): {
                 "head_id": ch.head_id,
-                "method": ch.method,
-                "w": ch.w,
                 "member_ids": ch.member_ids,
                 "scores": ch.scores,
             }
@@ -406,11 +399,9 @@ def read_heads(path: str) -> HeadSelection:
         heads = {}
         for c_str, entry in json_object(raw, "clusters").items():
             c = int(c_str)
-            heads[c] = ClusterHead(
-                cluster=c, head_id=int(entry["head_id"]), method=str(entry["method"]),
-                w=None if entry["w"] is None else float(entry["w"]),
-                member_ids=[int(s) for s in entry["member_ids"]],
-                scores=[float(s) for s in entry["scores"]])
+            heads[c] = ClusterHead(cluster=c, head_id=int(entry["head_id"]),
+                                   member_ids=[int(s) for s in entry["member_ids"]],
+                                   scores=[float(s) for s in entry["scores"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise SelectionError(f"malformed heads file {path}: {exc}") from exc
     if len(heads) != len(raw["clusters"]):
@@ -419,4 +410,8 @@ def read_heads(path: str) -> HeadSelection:
         if ch.head_id not in ch.member_ids:
             raise SelectionError(
                 f"heads file {path}: head {ch.head_id} not in cluster {ch.cluster}")
+        if len(ch.scores) != len(ch.member_ids):
+            raise SelectionError(
+                f"heads file {path}: cluster {ch.cluster} has {len(ch.scores)} "
+                f"scores for {len(ch.member_ids)} members")
     return HeadSelection(heads=heads)

@@ -482,14 +482,13 @@ def evaluate_rmse(model: BoostedModel, X: np.ndarray, y: np.ndarray):
     return rmse, persist_rmse
 
 
-def predict_positions(model_x: BoostedModel, model_y: BoostedModel,
-                      trace: Trace, at_time: float,
+def predict_positions(model_x: BoostedModel, model_y: BoostedModel, trace: Trace,
                       bounds: tuple[float, float]) -> dict[int, tuple[float, float]]:
-    """One (x, y) per station for the given trace timestamp, clamped to the
+    """One (x, y) per station for the trace's last sample, clamped to the
     arena [0, width] x [0, height] given as `bounds`.
 
-    Features are taken `horizon` steps before at_time, so the prediction uses
-    only history strictly older than the timestamp being predicted.
+    Features are taken `horizon` steps before that sample, so the prediction
+    uses only history strictly older than the sample being predicted.
     """
     if model_x.window is None or model_y.window is None:
         raise PredictionError("models carry no feature window description")
@@ -498,13 +497,10 @@ def predict_positions(model_x: BoostedModel, model_y: BoostedModel,
     window = model_x.window
     h, horizon = window.history_length, window.horizon
 
-    hits = np.nonzero(np.abs(trace.times - at_time) <= 1e-9)[0]
-    if hits.size == 0:
-        raise PredictionError(f"timestamp {at_time} not present in trace")
-    t = int(hits[0]) - horizon
+    t = trace.num_samples - 1 - horizon
     if t < max(h, 2):
-        raise PredictionError(
-            f"insufficient history before t={at_time} for h={h}, horizon={horizon}")
+        raise PredictionError(f"insufficient history before t={trace.times[-1]} "
+                              f"for h={h}, horizon={horizon}")
     dt = trace.times[1] - trace.times[0]
 
     features = _feature_rows(trace.positions, np.array([t]), h, dt)
@@ -569,27 +565,33 @@ def write_predictions(positions: dict[int, tuple[float, float]], path: str) -> N
 
 
 def read_predictions(path: str) -> dict[int, tuple[float, float]]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise PredictionError(f"{path}: not UTF-8 text: {exc}") from None
+    header = lines[0].strip() if lines else ""
+    if header != "station_id,pred_x,pred_y":
+        raise PredictionError(f"{path}: unexpected predictions header: {header!r}")
     out: dict[int, tuple[float, float]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "station_id,pred_x,pred_y":
-            raise PredictionError(f"{path}: unexpected predictions header: {header!r}")
-        for lineno, raw in enumerate(fh, start=2):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                sid, x, y = raw.split(",")
-                sid, x, y = int(sid), float(x), float(y)
-            except ValueError as exc:
-                raise PredictionError(
-                    f"{path}:{lineno}: malformed predictions row {raw!r}") from exc
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise PredictionError(
-                    f"{path}:{lineno}: non-finite prediction in row {raw!r}")
-            if sid < 0:
-                raise PredictionError(f"{path}:{lineno}: negative station id {sid}")
-            if sid in out:
-                raise PredictionError(f"{path}:{lineno}: duplicate station id {sid}")
-            out[sid] = (x, y)
+    for lineno, raw in enumerate(lines[1:], start=2):
+        raw = raw.strip()
+        if not raw:
+            continue
+        try:
+            sid, x, y = raw.split(",")
+            sid, x, y = int(sid), float(x), float(y)
+        except ValueError as exc:
+            raise PredictionError(
+                f"{path}:{lineno}: malformed predictions row {raw!r}") from exc
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise PredictionError(
+                f"{path}:{lineno}: non-finite prediction in row {raw!r}")
+        if sid < 0:
+            raise PredictionError(f"{path}:{lineno}: negative station id {sid}")
+        if sid in out:
+            raise PredictionError(f"{path}:{lineno}: duplicate station id {sid}")
+        out[sid] = (x, y)
+    if not out:
+        raise PredictionError(f"{path}: no predictions")
     return out

@@ -111,7 +111,7 @@ def test_sweep_has_full_grid_per_cluster(chain):
     sizes = collections.Counter(clusters["assignment"].values())
     multi = sum(1 for n in sizes.values() if n >= 2)
     assert multi >= 1
-    assert len(lines) == 1 + multi * small_config().sweep_grid
+    assert len(lines) == 1 + multi * 11
 
 
 def test_run_report_labels(chain):
@@ -370,6 +370,14 @@ def _rising_curve(payload):
     payload["wcss_curve"][2][1] = payload["wcss_curve"][1][1] + 1.0
 
 
+def _short_scores(payload):
+    payload["clusters"]["0"]["scores"].pop()
+
+
+def _header_only(data):
+    return data.split(b"\n")[0] + b"\n"
+
+
 @pytest.mark.parametrize("name,change,message", [
     ("heads.json", lambda p: p.update(clusters=[]),
      "malformed heads file {bad}: 'clusters' is not a JSON object"),
@@ -385,20 +393,37 @@ def _rising_curve(payload):
      "malformed report file {bad}: aggregates differ from those of the stations"),
     ("model_x.json", lambda p: p["params"].update(colsample=1.0, subsample=1.0, seed=3),
      "malformed model file {bad}: … unexpected keyword argument 'colsample'"),
+    ("clusters.json", lambda p: [c.append(0.0) for c in p["centroids"]],
+     "clusters file {bad}: centroids are not (x, y) pairs"),
+    ("heads.json", _short_scores,
+     "heads file {bad}: cluster 0 has … scores for … members"),
+    ("predictions.csv", _header_only, "{bad}: no predictions"),
+    ("predictions.csv", lambda b: b + b"\xff\n", "{bad}: not UTF-8 text"),
+    ("cfg.ini", lambda b: b + b"\xff\n", "cannot parse config {bad}: 'utf-8' codec"),
 ], ids=["heads_list", "assignment_list", "rising_curve", "skipped_k", "stations_list",
-        "aggregates_missing", "old_model_params"])
+        "aggregates_missing", "old_model_params", "centroids_3d", "short_scores",
+        "header_only_predictions", "non_utf8_predictions", "non_utf8_config"])
 def test_malformed_artifact_exits_2(chain, tmp_path, capsys, name, change, message):
     # Each of these used to end in a traceback or load without complaint.
+    # A JSON artifact is changed as a payload, a text file as bytes.
     o = chain / "out"
-    src = chain / "cen_on" / name if name == "report.json" else o / name
-    payload = json.loads(src.read_text())
-    change(payload)
+    src = {"report.json": chain / "cen_on" / name, "cfg.ini": chain / name}.get(name, o / name)
     bad = tmp_path / name
-    bad.write_text(json.dumps(payload))
+    if name.endswith(".json"):
+        payload = json.loads(src.read_text())
+        change(payload)
+        bad.write_text(json.dumps(payload))
+    else:
+        bad.write_bytes(change(src.read_bytes()))
     path = {n: str(bad if n == name else o / n)
             for n in ("heads.json", "clusters.json", "model_x.json")}
-    common = ["--config", str(chain / "cfg.ini"), "--out", str(tmp_path / "r")]
-    if name == "report.json":
+    config = bad if name == "cfg.ini" else chain / "cfg.ini"
+    common = ["--config", str(config), "--out", str(tmp_path / "r")]
+    if name == "cfg.ini":
+        argv = ["mobility", *common]
+    elif name == "predictions.csv":
+        argv = ["cluster", *common, "--predictions", str(bad)]
+    elif name == "report.json":
         argv = ["compare", *common, "--reports", str(bad),
                 str(chain / "cen_off" / "report.json")]
     elif name == "model_x.json":
@@ -435,14 +460,17 @@ def test_usage_errors_exit_1():
 
 def test_bad_config_value_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
-    # subsample: a config echo from before the booster lost row subsampling
-    for text, key in [("[pipeline]\nseed = 1\nmystery = 2\n", "mystery"),
-                      ("[predictor]\nsubsample = 0.5\n", "subsample")]:
+    # subsample, [heads] and k_max: config echoes from before those knobs went
+    for text, problem in [
+            ("[pipeline]\nseed = 1\nmystery = 2\n", "unrecognized key 'mystery'"),
+            ("[predictor]\nsubsample = 0.5\n", "unrecognized key 'subsample'"),
+            ("[heads]\nsweep_mode = literal\n", "unrecognized section [heads]"),
+            ("[clustering]\nk_max = \n", "unrecognized key 'k_max'")]:
         bad.write_text(text)
         code = cli.main(["mobility", "--config", str(bad),
                          "--out", str(tmp_path / "o")])
         assert code == 2
-        assert f"{bad}: unrecognized key {key!r}" in capsys.readouterr().err
+        assert f"{bad}: {problem}" in capsys.readouterr().err
 
 
 def test_non_finite_config_value_exits_2(tmp_path, capsys):

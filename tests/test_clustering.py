@@ -250,6 +250,8 @@ def test_clusters_roundtrip_property(tmp_path_factory, assignment):
     ("assignment_list", "'assignment' is not a JSON object"),
     ("rising_curve", "wcss_curve is not finite and non-increasing"),
     ("skipped_k", "wcss_curve k does not run 1, 2, ..."),
+    ("three_columns", "centroids are not (x, y) pairs"),
+    ("flat_centroids", "centroids are not (x, y) pairs"),
 ])
 def test_read_clusters_rejects_malformed_payload(tmp_path, case, message):
     path, payload = _clusters_payload(tmp_path)
@@ -267,6 +269,11 @@ def test_read_clusters_rejects_malformed_payload(tmp_path, case, message):
         payload["assignment"] = []  # used to load as a clustering of no stations
     elif case == "rising_curve":
         payload["wcss_curve"][2][1] = payload["wcss_curve"][1][1] + 1.0
+    elif case == "three_columns":
+        for c in payload["centroids"]:  # used to load, and `fanetsim run` exited 0
+            c.append(0.0)
+    elif case == "flat_centroids":
+        payload["centroids"] = [c[0] for c in payload["centroids"]]
     else:
         del payload["wcss_curve"][1]
     path.write_text(json.dumps(payload))
@@ -385,8 +392,7 @@ def test_fleet_clusters_match_broadcast_loop():
     trace = mobility.simulate_random_waypoint(cfg.arena_config())
     positions = dict(zip(trace.station_ids,
                          map(tuple, trace.positions[:, -1].tolist())))
-    args = dict(k_max=cfg.k_max, seed=cfg.cluster_seed(), restarts=cfg.restarts,
-                fixed_k=cfg.fixed_k)
+    args = dict(seed=cfg.cluster_seed(), restarts=cfg.restarts, fixed_k=cfg.fixed_k)
     assert_same_run(create_clusters(positions, **args),
                     reference.create_clusters(positions, **args))
 

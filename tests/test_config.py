@@ -22,10 +22,8 @@ def test_roundtrip_preserves_every_field(tmp_path):
         duration=250.0,
         num_rounds=17,
         learning_rate=0.07,
-        k_max=6,
         fixed_k=None,
         restarts=4,
-        sweep_mode="convex",
         packets_per_station=11,
         queue_capacity=5,
     )
@@ -35,11 +33,10 @@ def test_roundtrip_preserves_every_field(tmp_path):
 
 
 def test_roundtrip_optional_ints_stay_none(tmp_path):
-    cfg = PipelineConfig(k_max=None, fixed_k=None)
+    cfg = PipelineConfig(fixed_k=None)
     path = tmp_path / "cfg.ini"
     save_config(cfg, str(path))
-    loaded = load_config(str(path))
-    assert loaded.k_max is None and loaded.fixed_k is None
+    assert load_config(str(path)).fixed_k is None
 
 
 def test_missing_file_rejected(tmp_path):
@@ -56,14 +53,21 @@ def test_unknown_section_rejected(tmp_path):
 
 def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "cfg.ini"
-    # subsample: written by versions whose booster drew row samples
-    for text, key, section in [("[mobility]\npause_time = 1.0\nwarp_speed = 9\n",
-                                "warp_speed", "mobility"),
-                               ("[predictor]\nsubsample = 0.5\n", "subsample", "predictor")]:
+    # subsample: written by versions whose booster drew row samples;
+    # [heads] and k_max: by versions that let the sweep and curve length vary
+    for text, problem in [
+            ("[mobility]\npause_time = 1.0\nwarp_speed = 9\n",
+             "unrecognized key 'warp_speed' in section [mobility]"),
+            ("[predictor]\nsubsample = 0.5\n",
+             "unrecognized key 'subsample' in section [predictor]"),
+            ("[heads]\nsweep_mode = literal\nsweep_grid = 11\n",
+             "unrecognized section [heads]"),
+            ("[clustering]\nk_max = \nrestarts = 10\n",
+             "unrecognized key 'k_max' in section [clustering]")]:
         path.write_text(text)
         with pytest.raises(ConfigError) as err:
             load_config(str(path))
-        assert str(err.value) == f"{path}: unrecognized key {key!r} in section [{section}]"
+        assert str(err.value) == f"{path}: {problem}"
 
 
 def test_removed_simulation_key_rejected(tmp_path):
@@ -118,7 +122,6 @@ def test_bad_value_rejected(tmp_path):
     ("mobility", "sample_interval", "0", "sample_interval must be > 0, got 0.0"),
     ("predictor", "num_rounds", "0", "num_rounds must be >= 1, got 0"),
     ("clustering", "restarts", "0", "restarts must be >= 1, got 0"),
-    ("heads", "sweep_grid", "1", "sweep_grid must be >= 2, got 1"),
     ("traffic", "min_size", "0", "bad size bounds [0, 2048]"),
     ("topology", "queue_capacity", "-1", "queue_capacity must be >= 0"),
 ])
@@ -152,8 +155,6 @@ def test_partial_file_keeps_defaults(tmp_path):
 
 
 def test_validate_rejects_bad_knobs():
-    with pytest.raises(ConfigError, match="sweep_mode"):
-        PipelineConfig(sweep_mode="bogus").validate()
     with pytest.raises(ConfigError, match="train_fraction"):
         PipelineConfig(train_fraction=1.0).validate()
     with pytest.raises(ConfigError, match="restarts"):

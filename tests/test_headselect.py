@@ -161,7 +161,6 @@ def test_select_heads_prefers_middle_station():
     selection = select_heads({0: [0, 1, 2]}, radios)
     head = selection.heads[0]
     assert head.head_id == 1
-    assert head.method == "heuristic"
     assert head.member_ids == [0, 1, 2]
     assert selection.head_ids() == {0: 1}
 
@@ -372,8 +371,15 @@ def test_heads_roundtrip(tmp_path):
     assert back.head_ids() == selection.head_ids()
     assert back.heads[0].member_ids == selection.heads[0].member_ids
 
+    # files written while heads carried "method" and "w" still load
+    payload = json.loads(path.read_text())
+    for entry in payload["clusters"].values():
+        entry.update(method="heuristic", w=None)
+    path.write_text(json.dumps(payload))
+    assert read_heads(str(path)) == selection
+
     path.write_text('{"clusters": {"0": {"head_id": 5, "member_ids": [1, 2],'
-                    ' "method": "heuristic", "w": null, "scores": []}}}')
+                    ' "scores": [0.0, 0.0]}}}')
     with pytest.raises(SelectionError, match="head 5 not in cluster 0"):
         read_heads(str(path))
 
@@ -387,8 +393,7 @@ def test_read_heads_rejects_non_json(tmp_path):
 
 def test_read_heads_rejects_colliding_cluster_keys(tmp_path):
     # "1" and "01" used to merge into cluster 1, the last entry winning
-    entry = {"head_id": 5, "method": "heuristic", "w": None,
-             "member_ids": [5], "scores": [0.0]}
+    entry = {"head_id": 5, "member_ids": [5], "scores": [0.0]}
     path = tmp_path / "heads.json"
     path.write_text(json.dumps({"clusters": {"1": dict(entry, head_id=4, member_ids=[4]),
                                              "01": entry}}))
@@ -399,15 +404,14 @@ def test_read_heads_rejects_colliding_cluster_keys(tmp_path):
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _head_entry = st.lists(st.integers(0, 10**9), min_size=1, max_size=6, unique=True).flatmap(
     lambda ids: st.tuples(st.just(ids), st.sampled_from(ids),
-                          st.lists(_finite, min_size=len(ids), max_size=len(ids)),
-                          st.none() | _finite))
+                          st.lists(_finite, min_size=len(ids), max_size=len(ids))))
 
 
 @settings(max_examples=60, deadline=None)
 @given(entries=st.dictionaries(st.integers(-10**4, 10**4), _head_entry, max_size=5))
 def test_heads_roundtrip_property(tmp_path_factory, entries):
-    selection = HeadSelection({c: ClusterHead(c, head, "heuristic", w, ids, scores)
-                               for c, (ids, head, scores, w) in entries.items()})
+    selection = HeadSelection({c: ClusterHead(c, head, ids, scores)
+                               for c, (ids, head, scores) in entries.items()})
     out = tmp_path_factory.mktemp("heads")
     write_heads(selection, str(out / "a.json"))
     back = read_heads(str(out / "a.json"))
@@ -423,6 +427,8 @@ def test_heads_roundtrip_property(tmp_path_factory, entries):
      "heads file {path}: head 9 not in cluster 0"),
     (lambda p: p.update(clusters=[]),  # used to end in an AttributeError
      "malformed heads file {path}: 'clusters' is not a JSON object"),
+    (lambda p: p["clusters"]["0"]["scores"].pop(),  # used to load
+     "heads file {path}: cluster 0 has 2 scores for 3 members"),
 ])
 def test_read_heads_rejects_malformed_entry(tmp_path, change, message):
     radios = {r.station_id: r for r in collinear_trio()}

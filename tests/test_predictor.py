@@ -334,20 +334,20 @@ def test_predict_positions():
     ds = build_dataset(trace, h=2)
     mx = train(ds, BoostParams(num_rounds=30, learning_rate=0.5), target="x")
     my = train(ds, BoostParams(num_rounds=30, learning_rate=0.5), target="y")
-    # trees interpolate, so query a timestamp whose features sit inside the
-    # trained range (anchors 2..14 land in the 80% fit slice)
-    out = predict_positions(mx, my, trace, at_time=10.0, bounds=(500.0, 500.0))
+    # trees interpolate, so predict from a trace ending at t=10, whose
+    # features sit inside the trained range (anchors 2..14 land in the 80%
+    # fit slice)
+    ends_at_10 = linear_trace(11)
+    out = predict_positions(mx, my, ends_at_10, bounds=(500.0, 500.0))
     assert set(out) == {0}
     x, y = out[0]
     assert abs(x - 10.0) < 1.0 and abs(y - 20.0) < 2.0
 
-    with pytest.raises(PredictionError):
-        predict_positions(mx, my, trace, at_time=19.5, bounds=(500.0, 500.0))
-    with pytest.raises(PredictionError):
-        predict_positions(mx, my, trace, at_time=1.0, bounds=(500.0, 500.0))
+    with pytest.raises(PredictionError, match="insufficient history before t=1.0"):
+        predict_positions(mx, my, linear_trace(2), bounds=(500.0, 500.0))
 
     # predictions are clamped to the stated bounds
-    out = predict_positions(mx, my, trace, at_time=10.0, bounds=(6.0, 12.0))
+    out = predict_positions(mx, my, ends_at_10, bounds=(6.0, 12.0))
     assert out[0] == (6.0, 12.0)
 
 
@@ -431,9 +431,8 @@ def test_predict_positions_batch_equals_per_row_path(tmp_path):
     ds = build_dataset(trace, h=3)
     mx = train(ds, BoostParams(num_rounds=15), target="x")
     my = train(ds, BoostParams(num_rounds=15), target="y")
-    at = float(trace.times[-1])
     bounds = (arena.width, arena.height)
-    batched = predict_positions(mx, my, trace, at, bounds)
+    batched = predict_positions(mx, my, trace, bounds)
 
     t = trace.num_samples - 1 - ds.window.horizon
     dt = trace.times[1] - trace.times[0]
@@ -494,9 +493,8 @@ def test_predict_positions_keys_sparse_ids():
     ds = build_dataset(dense, h=3)
     mx = train(ds, BoostParams(num_rounds=5), target="x")
     my = train(ds, BoostParams(num_rounds=5), target="y")
-    at = float(dense.times[-1])
-    a = predict_positions(mx, my, dense, at, (arena.width, arena.height))
-    b = predict_positions(mx, my, sparse, at, (arena.width, arena.height))
+    a = predict_positions(mx, my, dense, (arena.width, arena.height))
+    b = predict_positions(mx, my, sparse, (arena.width, arena.height))
     assert list(b) == [4, 17, 300]
     assert list(b.values()) == list(a.values())
 
@@ -522,7 +520,7 @@ def test_read_predictions_rejects_negative_id(tmp_path):
     st.integers(0, 10**12),
     st.tuples(st.floats(allow_nan=False, allow_infinity=False),
               st.floats(allow_nan=False, allow_infinity=False)),
-    max_size=8))
+    min_size=1, max_size=8))
 def test_predictions_roundtrip_property(tmp_path_factory, preds):
     path = tmp_path_factory.mktemp("rt") / "predictions.csv"
     write_predictions(preds, str(path))
