@@ -8,7 +8,9 @@ the whole file cheap enough to run on every pytest invocation.
 import collections
 import dataclasses
 import filecmp
+import hashlib
 import json
+import pathlib
 import re
 import xml.etree.ElementTree as ET
 
@@ -18,6 +20,8 @@ from fanetsim import cli, metrics
 from fanetsim.config import PipelineConfig, load_config, save_config
 from fanetsim.netsim import SimConfig
 from fanetsim.predictor import read_predictions
+
+GOLDEN = pathlib.Path(__file__).with_name("golden_chain.json")
 
 
 def small_config() -> PipelineConfig:
@@ -86,6 +90,26 @@ def test_pipeline_artifacts_present(chain):
     for run_dir in ("cen_on", "cen_off", "dec_on", "dec_off"):
         for name in ("records.csv", "report.csv", "report.json"):
             assert (chain / run_dir / name).exists(), f"{run_dir}/{name}"
+
+
+def test_chain_matches_golden_digests(chain):
+    """Every file the chain fixture writes has its sha256 in golden_chain.json.
+
+    A failure names each file that differs. The test prints the whole
+    current mapping as JSON (pytest shows it under a failure, and always
+    with -s), so a change meant to alter artifacts regenerates the file from
+    that output, and says which digests moved and why:
+
+        PYTHONPATH=src python -m pytest -s tests/test_cli.py -k golden_digests |
+            sed -n '/^{$/,/^}$/p' > tests/golden_chain.json
+    """
+    current = {path.relative_to(chain).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(chain.rglob("*")) if path.is_file()}
+    print(json.dumps(current, indent=2, sort_keys=True))
+    golden = json.loads(GOLDEN.read_text())
+    differ = sorted(name for name in golden.keys() | current.keys()
+                    if golden.get(name) != current.get(name))
+    assert not differ, f"files that differ from {GOLDEN.name}: {differ}"
 
 
 def test_config_echo_reloads_to_same_config(chain):
