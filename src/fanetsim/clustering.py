@@ -172,18 +172,14 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator) -> ClusterAssig
 
 
 def _best_kmeans(points, k: int, seed: int, restarts: int) -> ClusterAssignment:
-    """Best of `restarts` independent runs, ranked by (wcss, restart index).
+    """Best of `restarts` independent runs: the lowest WCSS, and of equal
+    ones the first restart (min keeps the first of equal keys).
 
     Unchecked: points must be an (n, 2) float array with >= k distinct rows.
     """
-    best: ClusterAssignment | None = None
-    for r in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, k, r]))
-        cand = _lloyd(points, k, rng)
-        if best is None or cand.wcss < best.wcss:
-            best = cand
-    assert best is not None
-    return best
+    runs = (_lloyd(points, k, np.random.default_rng(np.random.SeedSequence([seed, k, r])))
+            for r in range(restarts))
+    return min(runs, key=lambda run: run.wcss)
 
 
 def _curve(fits: list[ClusterAssignment]) -> list[tuple[int, float]]:

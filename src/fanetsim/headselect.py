@@ -264,19 +264,15 @@ def _knn_best(pos: np.ndarray, power: np.ndarray, k: int) -> int:
     """Index of the best candidate when each one is scored against its k
     nearest neighbors only; the first of equal scores wins."""
     tree = KDTree(pos)
-    best_idx = 0
-    best_score = -math.inf
+    scores = []
     for i in range(pos.shape[0]):
         d_sum = p_sum = 0.0
         for dist, _ in tree.query(pos[i], k, exclude=i):
             d_sum += dist
             p_sum += power[i] - 10.0 * PATH_LOSS_EXPONENT * math.log10(
                 max(dist, REFERENCE_DISTANCE_M) / REFERENCE_DISTANCE_M)
-        score = head_objective(d_sum, p_sum) / k
-        if score > best_score:
-            best_score = score
-            best_idx = i
-    return best_idx
+        scores.append(head_objective(d_sum, p_sum) / k)
+    return int(np.argmax(scores))
 
 
 # --- scaling benchmark ---------------------------------------------------

@@ -44,6 +44,7 @@ one column per field; DeliveryRecord rows exist only while it is read.
 from __future__ import annotations
 
 import functools
+import graphlib
 import itertools
 import math
 import operator
@@ -277,25 +278,20 @@ def build_topology(config: TopologyConfig, positions: dict[int, tuple[float, flo
 
 
 def _channel_order(topology: Topology) -> list[str]:
-    """Channels so that each hop's channel comes before the next hop's."""
-    feeds: dict[str, set[str]] = {name: set() for name in topology.channels}
+    """Channels so that each hop's channel comes before the next hop's.
+
+    Any such order gives the same records: the sweep serves a channel once
+    all its feeders are done, and the tie rule never compares event ids by size.
+    """
+    fed_by: dict[str, set[str]] = {name: set() for name in topology.channels}
     for path in topology.paths.values():
         for hop, nxt in zip(path, path[1:]):
-            feeds[hop.channel].add(nxt.channel)
-    pending = {name: 0 for name in feeds}
-    for targets in feeds.values():
-        for name in targets:
-            pending[name] += 1
-    order = [name for name, count in pending.items() if count == 0]
-    for name in order:
-        for nxt in sorted(feeds[name]):
-            pending[nxt] -= 1
-            if pending[nxt] == 0:
-                order.append(nxt)
-    if len(order) != len(feeds):
+            fed_by[nxt.channel].add(hop.channel)
+    try:
+        return list(graphlib.TopologicalSorter(fed_by).static_order())
+    except graphlib.CycleError as exc:
         raise SimulationError(
-            f"paths run through channels {sorted(set(feeds) - set(order))} in a cycle")
-    return order
+            f"paths run through channels {sorted(set(exc.args[1]))} in a cycle") from exc
 
 
 def run_sim(topology: Topology, workload, horizon: float | None = None) -> SimResult:
@@ -445,14 +441,8 @@ def _order_ties(waiting: list[int], at, arrival, precedes) -> None:
     """Put each run of equal arrival times into pop order, in place."""
     key = functools.cmp_to_key(
         lambda i, j: -1 if precedes(arrival[i], arrival[j]) else 1)
-    lo = 0
-    while lo < len(waiting):
-        hi = lo + 1
-        while hi < len(waiting) and at[waiting[hi]] == at[waiting[lo]]:
-            hi += 1
-        if hi - lo > 1:
-            waiting[lo:hi] = sorted(waiting[lo:hi], key=key)
-        lo = hi
+    waiting[:] = [i for _, run in itertools.groupby(waiting, key=at.__getitem__)
+                  for i in sorted(run, key=key)]
 
 
 def conservation_check(result: SimResult, workload) -> dict:

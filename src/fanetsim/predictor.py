@@ -387,9 +387,7 @@ def train_matrix(X: np.ndarray, y: np.ndarray, params: BoostParams,
             raise TrainingError(f"eval_set must be finite, {n_features} wide with one "
                                 f"target per row; got {Xv.shape} / {yv.shape}")
         val_pred = np.full(Xv.shape[0], base)
-    best_val = math.inf
-    best_round = -1
-    stall = 0
+    patience = params.early_stop_patience
 
     bins = _Bins.from_matrix(X)
     lr = params.learning_rate
@@ -405,22 +403,14 @@ def train_matrix(X: np.ndarray, y: np.ndarray, params: BoostParams,
 
         if has_eval:
             val_pred += lr * tree.predict_matrix(Xv)
-            v_rmse = float(np.sqrt(np.mean((yv - val_pred) ** 2)))
-            model.val_rmse.append(v_rmse)
-            if v_rmse < best_val:
-                best_val = v_rmse
-                best_round = len(model.trees) - 1
-                stall = 0
-            else:
-                stall += 1
-                if params.early_stop_patience and stall >= params.early_stop_patience:
-                    break
+            model.val_rmse.append(float(np.sqrt(np.mean((yv - val_pred) ** 2))))
+            # rounds since the best one; argmin takes the first of equal RMSEs
+            if patience and len(model.val_rmse) - 1 - np.argmin(model.val_rmse) >= patience:
+                break
 
-    if has_eval and params.early_stop_patience and best_round >= 0:
-        keep = best_round + 1
-        model.trees = model.trees[:keep]
-        model.train_rmse = model.train_rmse[:keep]
-        model.val_rmse = model.val_rmse[:keep]
+    if has_eval and patience:
+        keep = int(np.argmin(model.val_rmse)) + 1
+        del model.trees[keep:], model.train_rmse[keep:], model.val_rmse[keep:]
     return model
 
 
