@@ -143,6 +143,9 @@ def cmd_heads(args) -> None:
     cfg, out = _prepare(args)
     assignment = clustering_mod.read_clusters(_require(args.clusters, "clusters"))
     preds = predictor.read_predictions(_require(args.predictions, "predictions"))
+    _check_agree(f"predictions file {args.predictions}", dict.fromkeys(preds, True),
+                 f"clusters file {args.clusters}",
+                 dict.fromkeys(assignment.station_ids, True), "station")
     radios = _station_radios(cfg, preds)
     members = assignment.members()
     selection = headselect.select_heads(members, radios)
@@ -163,15 +166,12 @@ def cmd_heads(args) -> None:
     print(f"wrote {path}: heads {heads_str}")
 
 
-def _check_heads_match(heads: headselect.HeadSelection, members: dict[int, list[int]],
-                       heads_path: str, clusters_path: str) -> None:
-    """Each cluster's member list in heads.json must be its clusters.json one."""
-    listed = {c: sorted(ch.member_ids) for c, ch in heads.heads.items()}
-    for c in sorted(members.keys() | listed.keys()):
-        if listed.get(c) != members.get(c):
-            raise FanetSimError(
-                f"heads file {heads_path} disagrees with clusters file "
-                f"{clusters_path} on the members of cluster {c}")
+def _check_agree(a_file: str, a: dict, b_file: str, b: dict, what: str) -> None:
+    """Two artifacts must give every key the same value (a station set maps
+    each id to True); the error names both files and the first key that differs."""
+    for key in sorted(a.keys() | b.keys()):
+        if a.get(key) != b.get(key):
+            raise FanetSimError(f"{a_file} disagrees with {b_file} on {what} {key}")
 
 
 def cmd_run(args) -> None:
@@ -188,13 +188,19 @@ def cmd_run(args) -> None:
             raise FanetSimError(
                 f"missing clusters artifact: --clusters is required for "
                 f"mode={args.mode} clustering={args.clustering}")
-        members = clustering_mod.read_clusters(_require(args.clusters, "clusters")).members()
+        assignment = clustering_mod.read_clusters(_require(args.clusters, "clusters"))
+        _check_agree(f"trace file {args.trace}", dict.fromkeys(trace.station_ids, True),
+                     f"clusters file {args.clusters}",
+                     dict.fromkeys(assignment.station_ids, True), "station")
+        members = assignment.members()
     if clustering_on:
         if not args.heads:
             raise FanetSimError(
                 "missing heads artifact: --heads is required when clustering is on")
         heads = headselect.read_heads(_require(args.heads, "heads"))
-        _check_heads_match(heads, members, args.heads, args.clusters)
+        _check_agree(f"heads file {args.heads}",
+                     {c: sorted(ch.member_ids) for c, ch in heads.heads.items()},
+                     f"clusters file {args.clusters}", members, "the members of cluster")
         head_ids = heads.head_ids()
 
     topo = netsim.build_topology(

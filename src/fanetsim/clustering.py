@@ -107,23 +107,31 @@ def _repair_empty(points, labels, centroids, counts):
         centroids[old] = points[labels == old].mean(axis=0)
 
 
-def _as_points(points) -> np.ndarray:
+def _checked(points, seed: int, restarts: int = 1) -> np.ndarray:
+    """The one input gate of kmeans, elbow_curve and create_clusters: finite
+    (n, 2) points as floats, a seed >= 0 and at least one restart."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ClusteringError(f"points must be 2-D, got shape {points.shape}")
     if points.shape[1] != 2:
         raise ClusteringError(
             f"points must have 2 columns (x, y), got {points.shape[1]}")
+    if not np.isfinite(points).all():
+        raise ClusteringError("points must be finite")
+    if seed < 0:
+        raise ClusteringError(f"seed must be >= 0, got {seed}")
+    if restarts < 1:
+        raise ClusteringError(f"restarts must be >= 1, got {restarts}")
     return points
 
 
-def kmeans(points, k: int, seed=0) -> ClusterAssignment:
+def kmeans(points, k: int, seed: int = 0) -> ClusterAssignment:
     """Lloyd's algorithm with k-means++ seeding, single run.
 
     Nearest-centroid ties go to the lowest cluster index; the WCSS recorded
     after every assignment pass is non-increasing, which the tests rely on.
     """
-    points = _as_points(points)
+    points = _checked(points, seed)
     if k < 1:
         raise ClusteringError(f"k must be >= 1, got {k}")
     if np.unique(points, axis=0).shape[0] < k:
@@ -195,7 +203,7 @@ def elbow_curve(points, k_max: int, seed: int = 0,
     Prefix minima are applied afterwards so the curve is non-increasing even
     when a larger k lands in a worse local optimum than a smaller one.
     """
-    points = _as_points(points)
+    points = _checked(points, seed, restarts)
     distinct = np.unique(points, axis=0).shape[0]
     if k_max < 1:
         raise ClusteringError(f"k_max must be >= 1, got {k_max}")
@@ -250,9 +258,7 @@ def create_clusters(positions: dict[int, tuple[float, float]],
     if not positions:
         raise ClusteringError("no positions given")
     ids = sorted(positions)
-    points = _as_points([positions[sid] for sid in ids])
-    if not np.isfinite(points).all():
-        raise ClusteringError("positions must be finite")
+    points = _checked([positions[sid] for sid in ids], seed, restarts)
     n = len(ids)
     distinct = np.unique(points, axis=0).shape[0]
     if k_max is None:

@@ -138,17 +138,23 @@ def _fold_offdiag_range(block: np.ndarray, diag: np.ndarray, running):
     return lo, max(running[1], float(block.max()))
 
 
-def build_pairwise(members: list[StationRadio]) -> PairwiseSums:
-    """Pairwise sums and ranges for one cluster; O(M^2) time, O(M) space."""
+def _member_arrays(members: list[StationRadio]):
+    """A cluster's (ids, positions, base powers) in ascending id order; an
+    empty cluster or a repeated station id is rejected."""
     if not members:
-        raise SelectionError("cannot build pairwise sums for an empty cluster")
+        raise SelectionError("empty cluster")
     members = sorted(members, key=lambda m: m.station_id)
     ids = [m.station_id for m in members]
     if len(set(ids)) != len(ids):
         raise SelectionError("duplicate station_id in cluster")
     pos = np.array([m.position for m in members], dtype=float)
     power = np.array([m.base_power for m in members], dtype=float)
-    return _pairwise_sums(ids, pos, power)
+    return ids, pos, power
+
+
+def build_pairwise(members: list[StationRadio]) -> PairwiseSums:
+    """Pairwise sums and ranges for one cluster; O(M^2) time, O(M) space."""
+    return _pairwise_sums(*_member_arrays(members))
 
 
 def head_objective(d_sum, p_sum, w: float = 1.0):
@@ -251,13 +257,10 @@ def knn_head(members: list[StationRadio], k: int = 1) -> int:
     trends toward O(M log M + k M). k = M-1 degenerates to the full score
     and must agree with select_heads exactly.
     """
-    members = sorted(members, key=lambda m: m.station_id)
-    m = len(members)
-    if not 1 <= k <= m - 1:
-        raise SelectionError(f"k must be in [1, {m - 1}], got {k}")
-    pos = np.array([mem.position for mem in members], dtype=float)
-    power = np.array([mem.base_power for mem in members], dtype=float)
-    return members[_knn_best(pos, power, k)].station_id
+    ids, pos, power = _member_arrays(members)
+    if not 1 <= k <= len(ids) - 1:
+        raise SelectionError(f"k must be in [1, {len(ids) - 1}], got {k}")
+    return ids[_knn_best(pos, power, k)]
 
 
 def _knn_best(pos: np.ndarray, power: np.ndarray, k: int) -> int:

@@ -390,6 +390,44 @@ def test_run_rejects_heads_that_disagree_with_clusters(chain, tmp_path, capsys):
     assert not (tmp_path / "r" / "records.csv").exists()
 
 
+@pytest.mark.parametrize("change,station", [
+    (lambda rows: [r for r in rows if not r.startswith("11,")], 11),
+    (lambda rows: rows + ["99,250.0,250.0"], 99),
+], ids=["missing_station", "extra_station"])
+def test_heads_rejects_predictions_that_disagree_with_clusters(chain, tmp_path, capsys,
+                                                               change, station):
+    # A missing station used to end in "no radio for station 11" naming no
+    # file, and an extra one was ignored without a word.
+    o = chain / "out"
+    header, *rows = (o / "predictions.csv").read_text().splitlines()
+    bad = tmp_path / "predictions.csv"
+    bad.write_text("\n".join([header, *change(rows)]) + "\n")
+    code = cli.main(["heads", "--config", str(chain / "cfg.ini"), "--out", str(tmp_path / "h"),
+                     "--clusters", str(o / "clusters.json"), "--predictions", str(bad)])
+    assert code == 2
+    assert (f"predictions file {bad} disagrees with clusters file {o}/clusters.json "
+            f"on station {station}") in capsys.readouterr().err
+    assert not (tmp_path / "h" / "heads.json").exists()
+
+
+def test_run_rejects_a_trace_that_disagrees_with_clusters(chain, tmp_path, capsys):
+    # A trace with one station more than the clusters used to stop in
+    # build_topology with "clusters do not cover the station set exactly".
+    o = chain / "out"
+    lines = (o / "trace.csv").read_text().splitlines()
+    extra = [f"{t},99,{x},{y}" for t, sid, x, y in (line.split(",") for line in lines[1:])
+             if sid == "0"]
+    trace = tmp_path / "trace.csv"
+    trace.write_text("\n".join(lines + extra) + "\n")
+    code = cli.main(["run", "--config", str(chain / "cfg.ini"), "--out", str(tmp_path / "r"),
+                     "--mode", "decentralized", "--clustering", "off",
+                     "--trace", str(trace), "--clusters", str(o / "clusters.json")])
+    assert code == 2
+    assert (f"trace file {trace} disagrees with clusters file {o}/clusters.json "
+            f"on station 99") in capsys.readouterr().err
+    assert not (tmp_path / "r" / "records.csv").exists()
+
+
 def _rising_curve(payload):
     payload["wcss_curve"][2][1] = payload["wcss_curve"][1][1] + 1.0
 

@@ -65,6 +65,11 @@ def test_kmeans_validation():
         kmeans(np.zeros((3, 3)), 2)
     with pytest.raises(ClusteringError):
         kmeans(np.zeros((0, 2)), 1)
+    # a NaN point used to come back as a ClusterAssignment without an error
+    with pytest.raises(ClusteringError, match="points must be finite"):
+        kmeans(np.array([[0.0, 0.0], [np.nan, 1.0], [2.0, 2.0]]), 2)
+    with pytest.raises(ClusteringError, match="seed must be >= 0, got -1"):
+        kmeans(pts, 1, seed=-1)
 
 
 def test_duplicate_points_share_a_label():
@@ -110,6 +115,12 @@ def test_elbow_curve_shape():
     ws = np.array([w for _, w in curve])
     assert ks == list(range(1, 9))
     assert np.all(np.diff(ws) <= 1e-9)  # prefix minima are non-increasing
+    # these used to end in numpy's "Probabilities contain NaN" and a bare
+    # AssertionError
+    with pytest.raises(ClusteringError, match="points must be finite"):
+        elbow_curve(np.vstack([pts, [[np.inf, 0.0]]]), k_max=3)
+    with pytest.raises(ClusteringError, match="restarts must be >= 1, got 0"):
+        elbow_curve(pts, k_max=3, restarts=0)
 
 
 def test_knee_point_frozen_curve():
@@ -150,6 +161,14 @@ def test_create_clusters():
         create_clusters({}, seed=0)
     with pytest.raises(ClusteringError):
         create_clusters(positions, seed=0, fixed_k=len(positions) + 1)
+    # these used to end in a bare AssertionError and numpy's
+    # "expected non-negative integer"
+    with pytest.raises(ClusteringError, match="restarts must be >= 1, got 0"):
+        create_clusters(positions, seed=0, restarts=0)
+    with pytest.raises(ClusteringError, match="seed must be >= 0, got -1"):
+        create_clusters(positions, seed=-1)
+    with pytest.raises(ClusteringError, match="points must be finite"):
+        create_clusters({**positions, 99: (np.nan, 0.0)}, seed=0)
 
 
 def test_assignment_accessors():

@@ -297,6 +297,12 @@ def test_knn_head():
         knn_head(radios, k=0)
     with pytest.raises(SelectionError):
         knn_head(radios, k=3)
+    # duplicate ids used to elect station 0, and an empty list to report
+    # "k must be in [1, -1]"
+    with pytest.raises(SelectionError, match="duplicate station_id in cluster"):
+        knn_head(radios + [radios[0]], k=1)
+    with pytest.raises(SelectionError, match="empty cluster"):
+        knn_head([], k=1)
 
 
 def test_knn_head_full_neighborhood_matches_heuristic():

@@ -240,6 +240,18 @@ def test_early_stopping_truncates_to_best_round():
     np.testing.assert_allclose(recomputed, model.val_rmse[-1], rtol=1e-9)
 
 
+def test_early_stopping_keeps_the_first_of_equal_rounds():
+    # A constant target gives every round a validation RMSE of 0.0. The
+    # first best round is kept; keeping the last of equals would keep 4 trees.
+    rng = np.random.default_rng(3)
+    model = train_matrix(rng.normal(size=(40, 3)), np.full(40, 2.0),
+                         BoostParams(num_rounds=20, early_stop_patience=3),
+                         eval_set=(rng.normal(size=(10, 3)), np.full(10, 2.0)))
+    assert len(model.trees) == 1
+    assert model.val_rmse == [0.0]
+    assert len(model.train_rmse) == 1
+
+
 def test_params_validation():
     for bad in (dict(max_depth=0), dict(learning_rate=0.0),
                 dict(learning_rate=1.5), dict(num_rounds=0),
