@@ -8,6 +8,11 @@ mean-residual leaves, shrinkage, and early stopping on a held-back
 chronological validation slice; every tree fits all rows and features. Two
 independent models (one per coordinate) share one feature layout: the last
 h positions plus the finite-difference velocity at the newest lag.
+
+`train` fits each model to the displacement from the newest lagged position
+(persistence) rather than to the position itself, so boosting starts from a
+per-row prior, as XGBoost's `base_margin` does; the model names that column
+as its `offset_feature` and adds it back after the trees.
 """
 
 from __future__ import annotations
@@ -72,6 +77,13 @@ class FeatureWindow:
         return names
 
 
+def _newest_lag(target: str) -> tuple[str, int]:
+    """Name and column of the newest lagged `target` coordinate, the
+    persistence forecast; x_lag1 and y_lag1 lead every window's layout."""
+    name = f"{target}_lag1"
+    return name, FeatureWindow(history_length=1).feature_names().index(name)
+
+
 @dataclass
 class RegressionTree:
     """Flat node arrays; feature == -1 marks a leaf."""
@@ -119,12 +131,15 @@ class BoostedModel:
     window: FeatureWindow | None = None
     train_rmse: list[float] = field(default_factory=list)
     val_rmse: list[float] = field(default_factory=list)
+    offset_feature: str | None = None
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.ascontiguousarray(X, dtype=float)
         out = np.full(X.shape[0], self.base_prediction)
         for tree in self.trees:
             out += self.params.learning_rate * tree.predict_matrix(X)
+        if self.offset_feature is not None:
+            out += X[:, self.feature_schema.index(self.offset_feature)]
         return out
 
 
@@ -428,17 +443,23 @@ def _validation_slice(dataset: Dataset):
 
 
 def train(dataset: Dataset, params: BoostParams, target: str = "x") -> BoostedModel:
+    """Fit the displacement `target - <target>_lag1`; the model adds it back."""
     if target not in ("x", "y"):
         raise TrainingError(f"target must be 'x' or 'y', got {target!r}")
     y_all = dataset.target_x if target == "x" else dataset.target_y
+    offset, col = _newest_lag(target)
     fit_idx, val_idx = _validation_slice(dataset)
     eval_set = None
     if val_idx.size:
-        eval_set = (dataset.X[val_idx], y_all[val_idx])
-    return train_matrix(
-        dataset.X[fit_idx], y_all[fit_idx], params,
+        X_val = dataset.X[val_idx]
+        eval_set = (X_val, y_all[val_idx] - X_val[:, col])
+    X_fit = dataset.X[fit_idx]
+    model = train_matrix(
+        X_fit, y_all[fit_idx] - X_fit[:, col], params,
         feature_schema=dataset.feature_names, eval_set=eval_set,
         target=target, window=dataset.window)
+    model.offset_feature = offset
+    return model
 
 
 def predict(model: BoostedModel, X) -> np.ndarray:
@@ -457,8 +478,7 @@ def predict(model: BoostedModel, X) -> np.ndarray:
 def evaluate_rmse(model: BoostedModel, X: np.ndarray, y: np.ndarray):
     """RMSE of the model and of the persistence baseline on the same rows.
 
-    Persistence predicts the newest lagged position, which by the feature
-    layout is column 0 for the x model and column 1 for the y model.
+    Persistence predicts the newest lagged position of the model's target.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -466,8 +486,7 @@ def evaluate_rmse(model: BoostedModel, X: np.ndarray, y: np.ndarray):
         raise PredictionError("empty evaluation split")
     pred = predict(model, X)
     rmse = float(np.sqrt(np.mean((y - pred) ** 2)))
-    persist_col = 0 if model.target == "x" else 1
-    persist = X[:, persist_col]
+    persist = X[:, _newest_lag(model.target)[1]]
     persist_rmse = float(np.sqrt(np.mean((y - persist) ** 2)))
     return rmse, persist_rmse
 
@@ -511,6 +530,7 @@ def save_model(model: BoostedModel, path: str) -> None:
         "window": None if model.window is None else asdict(model.window),
         "train_rmse": model.train_rmse,
         "val_rmse": model.val_rmse,
+        "offset_feature": model.offset_feature,
         "trees": [{f.name: getattr(t, f.name).tolist() for f in fields(t)}
                   for t in model.trees],
     }
@@ -533,15 +553,19 @@ def load_model(path: str) -> BoostedModel:
                 value=np.array(t["value"], dtype=float))
             for t in raw["trees"]
         ]
+        schema = [str(s) for s in raw["feature_schema"]]
         for k, tree in enumerate(trees):
-            tree.check(len(raw["feature_schema"]), f"tree {k}")
+            tree.check(len(schema), f"tree {k}")
+        offset = raw["offset_feature"]
+        if offset is not None and offset not in schema:
+            raise ValueError(f"offset_feature {offset!r} is not in feature_schema")
         return BoostedModel(
             target=str(raw["target"]), params=params,
             base_prediction=float(raw["base_prediction"]),
-            feature_schema=[str(s) for s in raw["feature_schema"]],
-            trees=trees, window=window,
+            feature_schema=schema, trees=trees, window=window,
             train_rmse=[float(v) for v in raw["train_rmse"]],
-            val_rmse=[float(v) for v in raw["val_rmse"]])
+            val_rmse=[float(v) for v in raw["val_rmse"]],
+            offset_feature=offset)
     except (KeyError, TypeError, ValueError) as exc:
         raise PredictionError(f"malformed model file {path}: {exc}") from exc
 

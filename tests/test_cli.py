@@ -235,6 +235,22 @@ def test_predict_rejects_non_json_model_exits_2(chain, tmp_path, capsys):
     assert f"malformed model file {bad}" in capsys.readouterr().err
 
 
+def test_predict_rejects_a_position_model_file_exits_2(chain, tmp_path, capsys):
+    # A model file from before the models regressed displacement has no
+    # offset_feature; its trees would predict a displacement as a position.
+    o = chain / "out"
+    raw = json.loads((o / "model_y.json").read_text())
+    assert raw.pop("offset_feature") == "y_lag1"
+    bad = tmp_path / "model_y.json"
+    bad.write_text(json.dumps(raw))
+    code = cli.main(["predict", "--config", str(chain / "cfg.ini"),
+                     "--out", str(tmp_path / "p"), "--trace", str(o / "trace.csv"),
+                     "--model-x", str(o / "model_x.json"), "--model-y", str(bad)])
+    assert code == 2
+    assert f"malformed model file {bad}: 'offset_feature'" in capsys.readouterr().err
+    assert not (tmp_path / "p" / "predictions.csv").exists()
+
+
 @pytest.mark.parametrize("case,message", [
     ("self_loop", "a child does not come after its parent"),
     ("child_before_parent", "a child does not come after its parent"),
