@@ -29,9 +29,8 @@ from .netsim import (DeliveryRecord, Hop, SimConfig, SimResult, Topology,
                      run_sim, write_records)
 from .predictor import (BoostedModel, BoostParams, Dataset, FeatureWindow,
                         RegressionTree, build_dataset, evaluate_rmse,
-                        load_model, predict, predict_positions,
-                        read_predictions, save_model, train, train_matrix,
-                        write_predictions)
+                        load_model, predict_positions, read_predictions,
+                        save_model, train, train_matrix, write_predictions)
 from .spatial import KDTree
 from .traffic import (PACKET_DTYPE, Packet, TrafficParams, as_workload,
                       generate_flow, generate_workload)
@@ -52,7 +51,7 @@ __all__ = [
     "build_pairwise", "build_topology", "compare", "compute_report",
     "conservation_check", "create_clusters", "elbow_curve", "evaluate_rmse",
     "exact_head", "generate_flow", "generate_workload", "heuristic_score",
-    "kmeans", "knee_point", "knn_head", "load_config", "load_model", "predict",
+    "kmeans", "knee_point", "knn_head", "load_config", "load_model",
     "predict_positions", "quantize", "read_clusters", "read_heads",
     "read_predictions", "read_report", "read_trace", "received_power",
     "run_sim", "save_config", "save_model", "select_heads",

@@ -20,7 +20,7 @@ import numpy as np
 from . import clustering as clustering_mod
 from . import headselect, metrics, mobility, netsim, predictor, traffic
 from .config import PipelineConfig, load_config, save_config
-from .errors import FanetSimError
+from .errors import FanetSimError, PredictionError
 from .ioutil import atomic_write_json, atomic_write_text
 
 TRACE_FILE = "trace.csv"
@@ -108,8 +108,12 @@ def cmd_predict(args) -> None:
     trace = mobility.read_trace(_require(args.trace, "trace"), cfg.arena_config())
     model_x = predictor.load_model(_require(args.model_x, "x model"))
     model_y = predictor.load_model(_require(args.model_y, "y model"))
-    preds = predictor.predict_positions(
-        model_x, model_y, trace, (cfg.sim.area_width, cfg.sim.area_height))
+    try:
+        preds = predictor.predict_positions(
+            model_x, model_y, trace, (cfg.sim.area_width, cfg.sim.area_height))
+    except PredictionError as exc:
+        raise PredictionError(f"--model-x {args.model_x}, --model-y {args.model_y}: "
+                              f"{exc}") from exc
     path = os.path.join(out, PREDICTIONS_FILE)
     predictor.write_predictions(preds, path)
     print(f"wrote {path}: {len(preds)} stations at t={trace.times[-1]:g}")
@@ -146,18 +150,15 @@ def cmd_heads(args) -> None:
     _check_agree(f"predictions file {args.predictions}", dict.fromkeys(preds, True),
                  f"clusters file {args.clusters}",
                  dict.fromkeys(assignment.station_ids, True), "station")
-    radios = _station_radios(cfg, preds)
-    members = assignment.members()
-    selection = headselect.select_heads(members, radios)
+    selection = headselect.select_heads(assignment.members(), _station_radios(cfg, preds))
     path = os.path.join(out, HEADS_FILE)
     headselect.write_heads(selection, path)
 
     sweep_lines = ["cluster,w,argmin_id"]
-    for cluster, member_ids in sorted(members.items()):
-        if len(member_ids) < 2:
+    for cluster, sums in sorted(selection.sums.items()):
+        if sums.size < 2:
             continue
-        tables = headselect.build_pairwise([radios[s] for s in member_ids])
-        sweep = headselect.weight_sweep(tables)
+        sweep = headselect.weight_sweep(sums)
         for w, sid in zip(sweep.w_grid, sweep.argmin_ids):
             sweep_lines.append(f"{cluster},{w!r},{sid}")
     atomic_write_text(os.path.join(out, SWEEP_FILE), "\n".join(sweep_lines) + "\n")
@@ -296,6 +297,24 @@ def cmd_bench(args) -> None:
 _PALETTE = ("#4878a8", "#b85c3c", "#6a9a58", "#8868a8")
 
 
+def _svg(w: int, h: int, parts: list[str]) -> str:
+    """A w x h SVG document on a white background around parts."""
+    return "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+        f'viewBox="0 0 {w} {h}">',
+        f'<rect width="{w}" height="{h}" fill="white"/>',
+        *parts, "</svg>"]) + "\n"
+
+
+def _text(x, y, size: int, body: str, anchor: str | None = None,
+          fill: str | None = None, transform: str | None = None) -> str:
+    """A sans-serif label; x and y are written as given."""
+    attrs = [f'x="{x}" y="{y}" font-size="{size}"', anchor and f'text-anchor="{anchor}"',
+             fill and f'fill="{fill}"', 'font-family="sans-serif"',
+             transform and f'transform="{transform}"']
+    return f'<text {" ".join(a for a in attrs if a)}>{body}</text>'
+
+
 def _svg_bars(title: str, unit: str, entries: list[tuple[str, float | None]]) -> str:
     w, h = 640, 400
     ml, mr, mt, mb = 80, 20, 50, 110
@@ -304,45 +323,31 @@ def _svg_bars(title: str, unit: str, entries: list[tuple[str, float | None]]) ->
     vmax = max(present) if present else 1.0
     if vmax <= 0:
         vmax = 1.0
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-        f'viewBox="0 0 {w} {h}">',
-        f'<rect width="{w}" height="{h}" fill="white"/>',
-        f'<text x="{w / 2}" y="28" font-size="16" text-anchor="middle" '
-        f'font-family="sans-serif">{title} ({unit})</text>',
-    ]
+    parts = [_text(w / 2, 28, 16, f"{title} ({unit})", "middle")]
     for frac in (0.0, 0.5, 1.0):
         y = mt + plot_h * (1 - frac)
         parts.append(f'<line x1="{ml}" y1="{y:.1f}" x2="{ml + plot_w}" y2="{y:.1f}" '
                      f'stroke="#cccccc" stroke-width="1"/>')
-        parts.append(f'<text x="{ml - 8}" y="{y + 4:.1f}" font-size="11" '
-                     f'text-anchor="end" font-family="sans-serif">'
-                     f'{vmax * frac:.6g}</text>')
+        parts.append(_text(ml - 8, f"{y + 4:.1f}", 11, f"{vmax * frac:.6g}", "end"))
     n = len(entries)
     slot = plot_w / max(n, 1)
     for i, (label, value) in enumerate(entries):
         cx = ml + slot * (i + 0.5)
+        x, y = f"{cx:.1f}", f"{mt + plot_h + 16:.1f}"
         color = _PALETTE[i % len(_PALETTE)]
         if value is not None:
             bar_h = plot_h * (value / vmax)
             parts.append(f'<rect x="{cx - slot * 0.3:.1f}" '
                          f'y="{mt + plot_h - bar_h:.1f}" width="{slot * 0.6:.1f}" '
                          f'height="{bar_h:.1f}" fill="{color}"/>')
-            parts.append(f'<text x="{cx:.1f}" y="{mt + plot_h - bar_h - 6:.1f}" '
-                         f'font-size="11" text-anchor="middle" '
-                         f'font-family="sans-serif">{value:.6g}</text>')
+            parts.append(_text(x, f"{mt + plot_h - bar_h - 6:.1f}", 11, f"{value:.6g}",
+                               "middle"))
         else:
-            parts.append(f'<text x="{cx:.1f}" y="{mt + plot_h - 6:.1f}" '
-                         f'font-size="11" text-anchor="middle" fill="#888888" '
-                         f'font-family="sans-serif">n/a</text>')
-        parts.append(f'<text x="{cx:.1f}" y="{mt + plot_h + 16:.1f}" font-size="11" '
-                     f'text-anchor="end" font-family="sans-serif" '
-                     f'transform="rotate(-30 {cx:.1f} {mt + plot_h + 16:.1f})">'
-                     f'{label}</text>')
+            parts.append(_text(x, f"{mt + plot_h - 6:.1f}", 11, "n/a", "middle", "#888888"))
+        parts.append(_text(x, y, 11, label, "end", transform=f"rotate(-30 {x} {y})"))
     parts.append(f'<line x1="{ml}" y1="{mt + plot_h}" x2="{ml + plot_w}" '
                  f'y2="{mt + plot_h}" stroke="black" stroke-width="1"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(w, h, parts)
 
 
 def _svg_loglog(result: headselect.BenchResult) -> str:
@@ -364,23 +369,16 @@ def _svg_loglog(result: headselect.BenchResult) -> str:
     def py(y: float) -> float:
         return mt + (1 - (y - y_lo) / (y_hi - y_lo)) * plot_h
 
+    mid_x, mid_y = (ml + w - mr) / 2, (mt + h - mb) / 2
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-        f'viewBox="0 0 {w} {h}">',
-        f'<rect width="{w}" height="{h}" fill="white"/>',
-        f'<text x="{(ml + w - mr) / 2}" y="28" font-size="16" text-anchor="middle" '
-        f'font-family="sans-serif">selection time vs cluster size (log-log)</text>',
-        f'<text x="{(ml + w - mr) / 2}" y="{h - 16}" font-size="12" '
-        f'text-anchor="middle" font-family="sans-serif">log10 M</text>',
-        f'<text x="18" y="{(mt + h - mb) / 2}" font-size="12" text-anchor="middle" '
-        f'font-family="sans-serif" transform="rotate(-90 18 {(mt + h - mb) / 2})">'
-        f'log10 ns</text>',
+        _text(mid_x, 28, 16, "selection time vs cluster size (log-log)", "middle"),
+        _text(mid_x, h - 16, 12, "log10 M", "middle"),
+        _text(18, mid_y, 12, "log10 ns", "middle", transform=f"rotate(-90 18 {mid_y})"),
     ]
     for x, _ in measured["pairwise"]:
         parts.append(f'<line x1="{px(x):.1f}" y1="{mt}" x2="{px(x):.1f}" '
                      f'y2="{mt + plot_h}" stroke="#eeeeee"/>')
-        parts.append(f'<text x="{px(x):.1f}" y="{mt + plot_h + 16}" font-size="11" '
-                     f'text-anchor="middle" font-family="sans-serif">{x:.2f}</text>')
+        parts.append(_text(f"{px(x):.1f}", mt + plot_h + 16, 11, f"{x:.2f}", "middle"))
 
     legend_y = mt + 8
     series: list[tuple[str, list[tuple[float, float]], str, str]] = [
@@ -403,13 +401,11 @@ def _svg_loglog(result: headselect.BenchResult) -> str:
                              f'fill="{color}"/>')
         parts.append(f'<rect x="{w - mr + 8}" y="{legend_y - 8}" width="10" '
                      f'height="10" fill="{color}"/>')
-        parts.append(f'<text x="{w - mr + 22}" y="{legend_y + 1}" font-size="10" '
-                     f'font-family="sans-serif">{name}</text>')
+        parts.append(_text(w - mr + 22, legend_y + 1, 10, name))
         legend_y += 16
     parts.append(f'<rect x="{ml}" y="{mt}" width="{plot_w}" height="{plot_h}" '
                  f'fill="none" stroke="black"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(w, h, parts)
 
 
 # --- parser ----------------------------------------------------------------

@@ -312,7 +312,7 @@ def read_clusters(path: str) -> ClusterAssignment:
             wcss=float(raw["wcss"]),
             wcss_curve=[(int(k_), float(w)) for k_, w in raw["wcss_curve"]],
             no_knee=bool(raw["no_knee"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ClusteringError(f"malformed clusters file {path}: {exc}") from exc
     if len(set(ids)) != len(ids):
         raise ClusteringError(f"clusters file {path}: station ids collide as integers")

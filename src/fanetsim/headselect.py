@@ -70,7 +70,10 @@ class ClusterHead:
 
 @dataclass(frozen=True)
 class HeadSelection:
+    """Elected heads; `sums` keeps each cluster's PairwiseSums for the sweep
+    (filled by select_heads, empty after read_heads, never written)."""
     heads: dict[int, ClusterHead]
+    sums: dict[int, PairwiseSums] = field(default_factory=dict, compare=False)
 
     def head_ids(self) -> dict[int, int]:
         return {c: ch.head_id for c, ch in self.heads.items()}
@@ -186,7 +189,7 @@ def select_heads(clusters: dict[int, list[int]],
     clusters maps cluster -> member station ids. O(L * M^2) total work, O(M)
     extra space.
     """
-    heads: dict[int, ClusterHead] = {}
+    selection = HeadSelection(heads={})
     for cluster in sorted(clusters):
         member_ids = sorted(clusters[cluster])
         if not member_ids:
@@ -195,13 +198,13 @@ def select_heads(clusters: dict[int, list[int]],
             members = [radios[sid] for sid in member_ids]
         except KeyError as exc:
             raise SelectionError(f"no radio for station {exc.args[0]}") from exc
-        sums = build_pairwise(members)
+        sums = selection.sums[cluster] = build_pairwise(members)
         scores = heuristic_score(sums)
         head_id = sums.station_ids[int(np.argmax(scores))]
-        heads[cluster] = ClusterHead(cluster=cluster, head_id=head_id,
-                                     member_ids=sums.station_ids,
-                                     scores=[float(s) for s in scores])
-    return HeadSelection(heads=heads)
+        selection.heads[cluster] = ClusterHead(cluster=cluster, head_id=head_id,
+                                               member_ids=sums.station_ids,
+                                               scores=[float(s) for s in scores])
+    return selection
 
 
 def exact_head(sums: PairwiseSums, w: float) -> int:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, TraceParseError
 from .ioutil import atomic_write_text
+from .traffic import MAX_STATION_ID
 
 # Substitute leg speed when min_speed is 0, so a zero-speed draw cannot park a
 # station forever. Not applied when max_speed is 0 (deliberately static fleet).
@@ -242,6 +243,12 @@ def read_trace(path: str, config: ArenaConfig | None = None) -> Trace:
         row = int(np.argmax(failing))
         message = next(message for mask, message in checks if mask[row])
         raise TraceParseError(path, message.format(sid[row]), line=int(linenos[row]))
+    unencodable = np.flatnonzero(sid > MAX_STATION_ID)
+    if unencodable.size:
+        row = unencodable[0]
+        raise TraceParseError(
+            path, f"station id {sid[row]} is above {MAX_STATION_ID}, the largest a "
+            "packet id encodes", line=int(linenos[row]))
 
     starts = np.flatnonzero(np.r_[True, ~same_station])
     n_times = len(t) if len(starts) == 1 else int(starts[1])

@@ -93,6 +93,11 @@ class RegressionTree:
     right: np.ndarray
     value: np.ndarray
 
+    def __post_init__(self):
+        for name, dtype in (("feature", np.int32), ("threshold", float),
+                            ("left", np.int32), ("right", np.int32), ("value", float)):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:
         # One step per level; a leaf loops to itself, so its feature -1 decides nothing.
         leaf, stay = self.feature < 0, np.arange(self.feature.size)
@@ -133,8 +138,16 @@ class BoostedModel:
     val_rmse: list[float] = field(default_factory=list)
     offset_feature: str | None = None
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
+    def predict(self, X) -> np.ndarray:
+        """Ensemble evaluation of an (n, features) matrix of finite values."""
         X = np.ascontiguousarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != len(self.feature_schema):
+            raise PredictionError(
+                f"feature shape {X.shape} does not match schema "
+                f"of {len(self.feature_schema)} features")
+        bad = ~np.isfinite(X).all(axis=1)
+        if bad.any():
+            raise PredictionError(f"feature row {int(bad.argmax())} is not finite")
         out = np.full(X.shape[0], self.base_prediction)
         for tree in self.trees:
             out += self.params.learning_rate * tree.predict_matrix(X)
@@ -149,7 +162,8 @@ class Dataset:
 
     Features look backward from the anchor; the target sits `horizon` steps
     after it. Row order is (station_id, time) ascending, and the train/test
-    masks cut each station's rows chronologically 80/20.
+    masks cut each station's rows chronologically 80/20. `fit_idx`/`val_idx`
+    cut its training rows again, holding back the last VALIDATION_FRACTION.
     """
     X: np.ndarray
     target_x: np.ndarray
@@ -158,6 +172,8 @@ class Dataset:
     times: np.ndarray
     train_idx: np.ndarray
     test_idx: np.ndarray
+    fit_idx: np.ndarray
+    val_idx: np.ndarray
     window: FeatureWindow
     feature_names: list[str]
 
@@ -189,6 +205,7 @@ def build_dataset(trace: Trace, h: int = 5, horizon: int = 1,
     per_station = anchors.size
     num_stations = len(trace.station_ids)
     n_train = int(math.floor(train_fraction * per_station))
+    n_fit = n_train - int(math.floor(VALIDATION_FRACTION * n_train))
     offsets = np.arange(num_stations)[:, None] * per_station
     targets = trace.positions[:, anchors + horizon]
     return Dataset(
@@ -198,6 +215,8 @@ def build_dataset(trace: Trace, h: int = 5, horizon: int = 1,
         times=np.tile(trace.times[anchors], num_stations),
         train_idx=(offsets + np.arange(n_train)).ravel(),
         test_idx=(offsets + np.arange(n_train, per_station)).ravel(),
+        fit_idx=(offsets + np.arange(n_fit)).ravel(),
+        val_idx=(offsets + np.arange(n_fit, n_train)).ravel(),
         window=window, feature_names=window.feature_names())
 
 
@@ -360,12 +379,8 @@ class _TreeBuilder:
         return root
 
     def to_tree(self) -> RegressionTree:
-        return RegressionTree(
-            feature=np.array(self.nodes_feature, dtype=np.int32),
-            threshold=np.array(self.nodes_threshold, dtype=float),
-            left=np.array(self.nodes_left, dtype=np.int32),
-            right=np.array(self.nodes_right, dtype=np.int32),
-            value=np.array(self.nodes_value, dtype=float))
+        return RegressionTree(self.nodes_feature, self.nodes_threshold,
+                              self.nodes_left, self.nodes_right, self.nodes_value)
 
 
 def train_matrix(X: np.ndarray, y: np.ndarray, params: BoostParams,
@@ -429,50 +444,23 @@ def train_matrix(X: np.ndarray, y: np.ndarray, params: BoostParams,
     return model
 
 
-def _validation_slice(dataset: Dataset):
-    """Last VALIDATION_FRACTION of each station's training rows, chronologically.
-
-    build_dataset gives every station the same number of training rows, in
-    one block per station, so the split is one column cut. An empty training
-    set reshapes to a single empty row.
-    """
-    train = dataset.train_idx
-    rows = train.reshape(np.unique(dataset.station_ids[train]).size or 1, -1)
-    cut = rows.shape[1] - int(math.floor(VALIDATION_FRACTION * rows.shape[1]))
-    return rows[:, :cut].ravel(), rows[:, cut:].ravel()
-
-
 def train(dataset: Dataset, params: BoostParams, target: str = "x") -> BoostedModel:
     """Fit the displacement `target - <target>_lag1`; the model adds it back."""
     if target not in ("x", "y"):
         raise TrainingError(f"target must be 'x' or 'y', got {target!r}")
     y_all = dataset.target_x if target == "x" else dataset.target_y
     offset, col = _newest_lag(target)
-    fit_idx, val_idx = _validation_slice(dataset)
     eval_set = None
-    if val_idx.size:
-        X_val = dataset.X[val_idx]
-        eval_set = (X_val, y_all[val_idx] - X_val[:, col])
-    X_fit = dataset.X[fit_idx]
+    if dataset.val_idx.size:
+        X_val = dataset.X[dataset.val_idx]
+        eval_set = (X_val, y_all[dataset.val_idx] - X_val[:, col])
+    X_fit = dataset.X[dataset.fit_idx]
     model = train_matrix(
-        X_fit, y_all[fit_idx] - X_fit[:, col], params,
+        X_fit, y_all[dataset.fit_idx] - X_fit[:, col], params,
         feature_schema=dataset.feature_names, eval_set=eval_set,
         target=target, window=dataset.window)
     model.offset_feature = offset
     return model
-
-
-def predict(model: BoostedModel, X) -> np.ndarray:
-    """Pure ensemble evaluation of an (n, features) matrix of finite values."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != len(model.feature_schema):
-        raise PredictionError(
-            f"feature shape {X.shape} does not match schema "
-            f"of {len(model.feature_schema)} features")
-    bad = ~np.isfinite(X).all(axis=1)
-    if bad.any():
-        raise PredictionError(f"feature row {int(bad.argmax())} is not finite")
-    return model.predict(X)
 
 
 def evaluate_rmse(model: BoostedModel, X: np.ndarray, y: np.ndarray):
@@ -484,7 +472,7 @@ def evaluate_rmse(model: BoostedModel, X: np.ndarray, y: np.ndarray):
     y = np.asarray(y, dtype=float)
     if X.shape[0] == 0:
         raise PredictionError("empty evaluation split")
-    pred = predict(model, X)
+    pred = model.predict(X)
     rmse = float(np.sqrt(np.mean((y - pred) ** 2)))
     persist = X[:, _newest_lag(model.target)[1]]
     persist_rmse = float(np.sqrt(np.mean((y - persist) ** 2)))
@@ -499,6 +487,10 @@ def predict_positions(model_x: BoostedModel, model_y: BoostedModel, trace: Trace
     Features are taken `horizon` steps before that sample, so the prediction
     uses only history strictly older than the sample being predicted.
     """
+    for coordinate, model in (("x", model_x), ("y", model_y)):
+        if model.target != coordinate:
+            raise PredictionError(
+                f"the {coordinate} model is a model of {model.target!r}")
     if model_x.window is None or model_y.window is None:
         raise PredictionError("models carry no feature window description")
     if model_x.window != model_y.window:
@@ -513,8 +505,8 @@ def predict_positions(model_x: BoostedModel, model_y: BoostedModel, trace: Trace
     dt = trace.times[1] - trace.times[0]
 
     features = _feature_rows(trace.positions, np.array([t]), h, dt)
-    px = predict(model_x, features).tolist()
-    py = predict(model_y, features).tolist()
+    px = model_x.predict(features).tolist()
+    py = model_y.predict(features).tolist()
     return {sid: (min(max(x, 0.0), bounds[0]), min(max(y, 0.0), bounds[1]))
             for sid, x, y in zip(trace.station_ids, px, py)}
 
@@ -544,15 +536,7 @@ def load_model(path: str) -> BoostedModel:
         window = None
         if raw["window"] is not None:
             window = FeatureWindow(**raw["window"])
-        trees = [
-            RegressionTree(
-                feature=np.array(t["feature"], dtype=np.int32),
-                threshold=np.array(t["threshold"], dtype=float),
-                left=np.array(t["left"], dtype=np.int32),
-                right=np.array(t["right"], dtype=np.int32),
-                value=np.array(t["value"], dtype=float))
-            for t in raw["trees"]
-        ]
+        trees = [RegressionTree(**t) for t in raw["trees"]]
         schema = [str(s) for s in raw["feature_schema"]]
         for k, tree in enumerate(trees):
             tree.check(len(schema), f"tree {k}")
@@ -566,7 +550,7 @@ def load_model(path: str) -> BoostedModel:
             train_rmse=[float(v) for v in raw["train_rmse"]],
             val_rmse=[float(v) for v in raw["val_rmse"]],
             offset_feature=offset)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PredictionError(f"malformed model file {path}: {exc}") from exc
 
 

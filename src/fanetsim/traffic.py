@@ -18,6 +18,10 @@ import numpy as np
 from .errors import ConfigError
 
 _MAX_REDRAW_PASSES = 1000
+# packet_id packs (station_id, index) into one int64: a flow holds at most
+# PACKET_ID_STRIDE packets, and station ids stop at MAX_STATION_ID.
+PACKET_ID_STRIDE = 1_000_000
+MAX_STATION_ID = (np.iinfo(np.int64).max - (PACKET_ID_STRIDE - 1)) // PACKET_ID_STRIDE
 PACKET_DTYPE = np.dtype([("packet_id", np.int64), ("src", np.int64),
                          ("size", np.int64), ("creation_time", np.float64)])
 
@@ -42,8 +46,9 @@ class TrafficParams:
                 f"mean_size {self.mean_size} outside [{self.min_size}, {self.max_size}]")
         if self.mean_interarrival <= 0:
             raise ConfigError(f"mean_interarrival must be > 0, got {self.mean_interarrival}")
-        if self.packets_per_station < 0:
-            raise ConfigError(f"packets_per_station must be >= 0, got {self.packets_per_station}")
+        if not 0 <= self.packets_per_station <= PACKET_ID_STRIDE:
+            raise ConfigError(f"packets_per_station must be in [0, {PACKET_ID_STRIDE}], "
+                              f"got {self.packets_per_station}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -58,7 +63,7 @@ class Packet:
 
 def packet_id(station_id: int, index: int) -> int:
     """Globally unique packet id: station and per-flow sequence combined."""
-    return station_id * 1_000_000 + index
+    return station_id * PACKET_ID_STRIDE + index
 
 
 def _draw_sizes(rng: np.random.Generator, params: TrafficParams, n: int) -> np.ndarray:

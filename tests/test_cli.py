@@ -16,8 +16,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from fanetsim import cli, metrics
+from fanetsim import cli, headselect, metrics
 from fanetsim.config import PipelineConfig, load_config, save_config
+from fanetsim.headselect import BenchResult
 from fanetsim.netsim import SimConfig
 from fanetsim.predictor import read_predictions
 
@@ -299,6 +300,62 @@ def test_predict_rejects_malformed_tree_exits_2(chain, tmp_path, capsys, case, m
     assert not (tmp_path / "p" / "predictions.csv").exists()
 
 
+def test_predict_rejects_swapped_model_files_exits_2(chain, tmp_path, capsys):
+    # Swapped files used to exit 0 and write pred_x and pred_y exchanged.
+    o = chain / "out"
+    code = cli.main(["predict", "--config", str(chain / "cfg.ini"),
+                     "--out", str(tmp_path / "p"), "--trace", str(o / "trace.csv"),
+                     "--model-x", str(o / "model_y.json"),
+                     "--model-y", str(o / "model_x.json")])
+    assert code == 2
+    assert (f"--model-x {o / 'model_y.json'}, --model-y {o / 'model_x.json'}: "
+            "the x model is a model of 'y'" in capsys.readouterr().err)
+    assert not (tmp_path / "p" / "predictions.csv").exists()
+
+
+def test_heads_builds_each_clusters_sums_once(chain, tmp_path, monkeypatch):
+    # The election's pairwise sums feed the weight sweep; the sweep used to
+    # build every cluster's sums a second time.
+    calls = collections.Counter()
+    build = headselect.build_pairwise
+
+    def counting(members):
+        calls[tuple(sorted(m.station_id for m in members))] += 1
+        return build(members)
+
+    monkeypatch.setattr(headselect, "build_pairwise", counting)
+    o = chain / "out"
+    out = tmp_path / "h"
+    assert cli.main(["heads", "--config", str(chain / "cfg.ini"), "--out", str(out),
+                     "--clusters", str(o / "clusters.json"),
+                     "--predictions", str(o / "predictions.csv")]) == 0
+    clusters = json.loads((o / "heads.json").read_text())["clusters"]
+    assert calls == {tuple(sorted(c["member_ids"])): 1 for c in clusters.values()}
+    for name in ("heads.json", "sweep.csv"):
+        assert (out / name).read_bytes() == (o / name).read_bytes()
+
+
+def test_svg_charts_are_pinned():
+    # bench.svg is not in the golden chain because its timings vary, so both
+    # charts are pinned here on fixed inputs: a missing, a zero and a
+    # negative bar, and a benchmark result with both reference series.
+    bars = cli._svg_bars("mean delay ms", "ms", [
+        ("cen-on", 12.5), ("cen-off", None), ("dec-on", 0.0), ("dec-off", -3.25)])
+    loglog = cli._svg_loglog(BenchResult(
+        rows=[("pairwise", 128, 50_000), ("knn", 128, 900_000),
+              ("pairwise", 256, 210_000), ("knn", 256, 2_000_000),
+              ("pairwise", 512, 800_000), ("knn", 512, 4_300_000)],
+        slopes={"pairwise": 2.0, "knn": 1.1},
+        reference={"ref_quadratic": [(128, 4.69), (256, 5.29), (512, 5.89)],
+                   "ref_mlogm_kM": [(128, 5.95), (256, 6.28), (512, 6.62)]},
+        k=16))
+    assert loglog.count("<polyline") == 4
+    digests = [hashlib.sha256(svg.encode()).hexdigest() for svg in (bars, loglog)]
+    assert digests == [
+        "0aaed54e01b67ba9d332f6355417d165ca762ca71288b664e76f45d124140754",
+        "a9b5175bd0cfedf02869eae1787705c01f1d4fed29b63b174c88a4ada09224db"]
+
+
 def test_heads_rejects_nan_predictions(chain, tmp_path, capsys):
     # All-NaN scores used to elect each cluster's first station silently.
     src = (chain / "out" / "predictions.csv").read_text().splitlines()
@@ -456,6 +513,14 @@ def _header_only(data):
     return data.split(b"\n")[0] + b"\n"
 
 
+def _huge_child(payload):
+    payload["trees"][1]["left"][0] = 2**40
+
+
+def _huge_label(payload):
+    payload["assignment"][next(iter(payload["assignment"]))] = 2**70
+
+
 @pytest.mark.parametrize("name,change,message", [
     ("heads.json", lambda p: p.update(clusters=[]),
      "malformed heads file {bad}: 'clusters' is not a JSON object"),
@@ -478,9 +543,12 @@ def _header_only(data):
     ("predictions.csv", _header_only, "{bad}: no predictions"),
     ("predictions.csv", lambda b: b + b"\xff\n", "{bad}: not UTF-8 text"),
     ("cfg.ini", lambda b: b + b"\xff\n", "cannot parse config {bad}: 'utf-8' codec"),
+    ("model_x.json", _huge_child, "malformed model file {bad}: "),
+    ("clusters.json", _huge_label, "malformed clusters file {bad}: "),
 ], ids=["heads_list", "assignment_list", "rising_curve", "skipped_k", "stations_list",
         "aggregates_missing", "old_model_params", "centroids_3d", "short_scores",
-        "header_only_predictions", "non_utf8_predictions", "non_utf8_config"])
+        "header_only_predictions", "non_utf8_predictions", "non_utf8_config",
+        "child_beyond_int32", "label_beyond_int64"])
 def test_malformed_artifact_exits_2(chain, tmp_path, capsys, name, change, message):
     # Each of these used to end in a traceback or load without complaint.
     # A JSON artifact is changed as a payload, a text file as bytes.

@@ -123,6 +123,8 @@ def test_bad_value_rejected(tmp_path):
     ("predictor", "num_rounds", "0", "num_rounds must be >= 1, got 0"),
     ("clustering", "restarts", "0", "restarts must be >= 1, got 0"),
     ("traffic", "min_size", "0", "bad size bounds [0, 2048]"),
+    ("traffic", "packets_per_station", "1000001",
+     "packets_per_station must be in [0, 1000000], got 1000001"),
     ("topology", "queue_capacity", "-1", "queue_capacity must be >= 0"),
 ])
 def test_value_error_names_the_file(tmp_path, section, key, raw, message):

@@ -210,6 +210,11 @@ H = TRACE_HEADER + "\n"
     (H + "1,0,1,2\n0,0,1,2\n", 3, "time not strictly increasing", None),
     (H + "0,5,1,2\n0,99999999999999999999,1,2\n0,4,1,2\n", 4,
      "rows not sorted by station_id", None),
+    # ids that packet_id cannot encode used to end `run` in an OverflowError
+    (H + "0,5,1,2\n0,10000000000000,1,2\n", 3,
+     "station id 10000000000000 is above 9223372036853", None),
+    (H + "0,5,1,2\n0,9223372036854775808,1,2\n", 3,
+     "is above 9223372036853, the largest a packet id encodes", None),
     (H + "0,0,1,2\n1,0,1,2\n3,0,1,2\n", 4, "spacing is not constant", None),
     (H + "0,0,1,2\n1,0,1,2\n0,4,3,4\n", 4, "station 4 does not share", None),
     (H + "0,0,1,2\n1,0,1,2\n0,4,3,4\n2,4,3,4\n", 5,

@@ -19,7 +19,6 @@ from fanetsim import (
     build_dataset,
     evaluate_rmse,
     load_model,
-    predict,
     predict_positions,
     save_model,
     simulate_random_waypoint,
@@ -147,7 +146,8 @@ def test_split_is_chronological_per_station():
 
 
 def loop_validation_slice(dataset):
-    """The per-station loop _validation_slice replaced, kept as its oracle."""
+    """The per-station loop that Dataset.fit_idx/val_idx replaced, kept as
+    their oracle."""
     train = dataset.train_idx
     stations = dataset.station_ids[train]
     fit_parts, val_parts = [], []
@@ -176,7 +176,7 @@ def test_validation_slice_matches_per_station_loop(samples, h, horizon, fraction
     trace = Trace(np.arange(samples, dtype=float), ids,
                   rng.uniform(0.0, 500.0, size=(4, samples, 2)))
     ds = build_dataset(trace, h=h, horizon=horizon, train_fraction=fraction)
-    for got, want in zip(predictor._validation_slice(ds), loop_validation_slice(ds)):
+    for got, want in zip((ds.fit_idx, ds.val_idx), loop_validation_slice(ds)):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
 
@@ -287,7 +287,7 @@ def test_train_fits_the_persistence_residual(target):
 
     col = ds.feature_names.index(f"{target}_lag1")
     y_all = ds.target_x if target == "x" else ds.target_y
-    fit, val = predictor._validation_slice(ds)
+    fit, val = ds.fit_idx, ds.val_idx
     assert val.size
     oracle = train_matrix(ds.X[fit], y_all[fit] - ds.X[fit, col], params,
                           feature_schema=ds.feature_names,
@@ -333,7 +333,7 @@ def test_displacement_models_beat_position_models():
         trace = simulate_random_waypoint(
             ArenaConfig(num_stations=5, duration=300.0, seed=seed))
         ds = build_dataset(trace)
-        fit, val = predictor._validation_slice(ds)
+        fit, val = ds.fit_idx, ds.val_idx
         X_test = ds.X[ds.test_idx]
         for target, y_all in (("x", ds.target_x), ("y", ds.target_y)):
             model = train(ds, params, target=target)
@@ -358,10 +358,10 @@ def test_evaluate_rmse_persistence_columns():
 
 def test_predict_shape_checks():
     model = train_matrix(np.zeros((4, 2)), np.arange(4.0), BoostParams(num_rounds=1))
-    assert predict(model, np.zeros((3, 2))).shape == (3,)
+    assert model.predict(np.zeros((3, 2))).shape == (3,)
     for bad in (np.zeros(2), np.zeros(5), np.zeros((3, 5))):
         with pytest.raises(PredictionError, match="does not match schema"):
-            predict(model, bad)
+            model.predict(bad)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -374,9 +374,9 @@ def test_predict_rejects_non_finite_features(bad):
     X[3, 1] = bad
     X[4, 0] = bad
     with pytest.raises(PredictionError, match="feature row 3 is not finite"):
-        predict(model, X)
+        model.predict(X)
     with pytest.raises(PredictionError, match="feature row 0 is not finite"):
-        predict(model, X[3:4])
+        model.predict(X[3:4])
 
 
 def test_model_roundtrip(tmp_path):
@@ -553,12 +553,40 @@ def test_predict_positions_batch_equals_per_row_path(tmp_path):
     per_row = {}
     for sid in trace.station_ids:
         row = _feature_rows(trace.positions[sid], np.array([t]), 3, dt)
-        px, py = float(predict(mx, row)[0]), float(predict(my, row)[0])
+        px, py = float(mx.predict(row)[0]), float(my.predict(row)[0])
         per_row[sid] = (min(max(px, 0.0), bounds[0]), min(max(py, 0.0), bounds[1]))
     assert batched == per_row
     write_predictions(batched, str(tmp_path / "a.csv"))
     write_predictions(per_row, str(tmp_path / "b.csv"))
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_predict_positions_rejects_swapped_models():
+    trace = simulate_random_waypoint(ArenaConfig(num_stations=3, duration=60.0, seed=5))
+    ds = build_dataset(trace, h=2)
+    mx = train(ds, BoostParams(num_rounds=2), target="x")
+    my = train(ds, BoostParams(num_rounds=2), target="y")
+    with pytest.raises(PredictionError, match="the x model is a model of 'y'"):
+        predict_positions(my, mx, trace, (500.0, 500.0))
+    with pytest.raises(PredictionError, match="the y model is a model of 'x'"):
+        predict_positions(mx, mx, trace, (500.0, 500.0))
+
+
+def test_saved_model_keeps_tree_dtypes(tmp_path):
+    # RegressionTree casts its columns, so a built tree and a loaded one
+    # carry the same dtypes and walk the same nodes.
+    trace = simulate_random_waypoint(ArenaConfig(num_stations=3, duration=60.0, seed=8))
+    ds = build_dataset(trace, h=3)
+    model = train(ds, BoostParams(num_rounds=6), target="x")
+    save_model(model, str(tmp_path / "model.json"))
+    back = load_model(str(tmp_path / "model.json"))
+    for tree in (*model.trees, *back.trees):
+        assert [getattr(tree, f.name).dtype for f in dataclasses.fields(tree)] == [
+            np.int32, np.float64, np.int32, np.int32, np.float64]
+    for got, want in zip(back.trees, model.trees):
+        for f in dataclasses.fields(got):
+            np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name))
+    np.testing.assert_array_equal(back.predict(ds.X), model.predict(ds.X))
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

@@ -12,7 +12,7 @@ from fanetsim import (
     generate_flow,
     generate_workload,
 )
-from fanetsim.traffic import packet_id
+from fanetsim.traffic import MAX_STATION_ID, PACKET_ID_STRIDE, packet_id
 
 
 def test_params_validation():
@@ -27,6 +27,21 @@ def test_packet_id_encoding():
     assert packet_id(0, 0) == 0
     assert packet_id(3, 17) == 3_000_017
     assert packet_id(24, 99) == 24_000_099
+
+
+def test_packet_id_limits():
+    # One packet more per flow used to give duplicate ids (station s's last
+    # packet took station s + 1's first id), caught only after simulating.
+    assert TrafficParams(packets_per_station=PACKET_ID_STRIDE).packets_per_station == 10**6
+    with pytest.raises(ConfigError, match=r"packets_per_station must be in \[0, 1000000\]"):
+        TrafficParams(packets_per_station=PACKET_ID_STRIDE + 1)
+    # The largest station id still encodes its last packet in an int64.
+    int64_max = int(np.iinfo(np.int64).max)
+    assert packet_id(MAX_STATION_ID, PACKET_ID_STRIDE - 1) <= int64_max
+    assert packet_id(MAX_STATION_ID + 1, PACKET_ID_STRIDE - 1) > int64_max
+    workload = generate_workload([0, MAX_STATION_ID], TrafficParams(packets_per_station=3))
+    assert sorted(workload["packet_id"].tolist()) == [
+        0, 1, 2, *(packet_id(MAX_STATION_ID, i) for i in range(3))]
 
 
 def test_flow_basic_shape():
