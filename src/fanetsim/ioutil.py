@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -21,20 +22,28 @@ def substream_seed(master: int, stream: int) -> int:
     return int(np.random.SeedSequence([master, stream]).generate_state(1)[0])
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a temp file + rename so readers never see a
-    half-written artifact."""
+@contextlib.contextmanager
+def atomic_open(path: str):
+    """A text file to write path through: it goes to a temp file that
+    replaces path only when the block ends without an exception, so readers
+    never see a half-written artifact."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write text to path through atomic_open."""
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def atomic_write_json(path: str, obj) -> None:

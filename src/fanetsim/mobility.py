@@ -187,6 +187,11 @@ def _parse_rows(path: str, rows: list[str], linenos: np.ndarray,
                 _CONVERTERS[i % 4](cell)
             except ValueError as exc:
                 raise TraceParseError(path, str(exc), line=int(linenos[i // 4])) from None
+    if arrays[1].dtype.kind in "uf":
+        # Ids from 2**63 up come out as uint64, or float64 next to smaller
+        # ones, and np.concatenate makes a uint64 block float64 next to an
+        # int64 one; an object column keeps every id an exact Python int.
+        arrays[1] = np.array(list(map(int, cells[1::4])), dtype=object)
     for column, array in zip(columns, arrays):
         column.append(array)
 

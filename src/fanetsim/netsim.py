@@ -10,15 +10,19 @@ bounded FIFO queue and are dropped on overflow. Hop latency is queue wait +
 serialization + propagation + a fixed processing delay.
 
 Engine. Every path is fixed and a hop only feeds the next hop's channel, so
-the channels form a DAG (cluster channel -> backbone). run_sim visits the
-channels in topological order and makes one pass over each: it sorts the
-channel's arrivals, keeps the service ends of the packets it accepted in a
-FIFO, drops an arrival when that FIFO already holds the packet in service
-plus queue_capacity waiting ones, and starts service at the arrival when the
+the channels form a DAG (cluster channel -> backbone). run_sim maps each
+source once to a route row of per-hop channel codes and propagation times,
+then visits the channels in topological order and makes one pass over each:
+it gathers the channel's arrivals as index columns, sorts them by time,
+keeps the service ends of the packets it accepted in a FIFO, drops an
+arrival when that FIFO already holds the packet in service plus
+queue_capacity waiting ones, and starts service at the arrival when the
 channel is idle or else at the service end of the packet before it
-(end = start + size * 8.0 / bitrate). A service end at or before the horizon
-forwards the packet to the next channel, or delivers it, at
-(end + distance / propagation_speed) + processing_delay.
+(end = start + size * 8.0 / bitrate). Only that FIFO walk runs per packet in
+Python; queue drops, forwarding and deliveries are written as numpy columns
+after it. A service end at or before the horizon forwards the packet to the
+next channel, or delivers it, at (end + distance / propagation_speed) +
+processing_delay.
 
 Tie rule. Simultaneous events are resolved as in a discrete-event engine
 that pops one global heap by (time, push sequence), starting from every
@@ -28,9 +32,11 @@ sub-order), where creation-time arrivals have no parent and sort before every
 other event at the same time, in workload order; an arrival that finds the
 channel idle schedules its service end (sub-order 0); a service end
 schedules the packet's next arrival or its delivery (sub-order 0) and then
-the next queued packet's service end (sub-order 1). Events are stored in
-flat columns (time, parent, sub-order), and the parent chain is only walked
-for exactly equal times.
+the next queued packet's service end (sub-order 1). There are no event
+columns: the parent chain is rebuilt from three per-hop columns (arrival
+time, service end, and the packet whose service end it queued behind, or
+none when the channel was idle), and it is only walked for exactly equal
+times.
 
 Horizon. Events at t <= horizon happen. A packet whose arrival, service end
 or delivery falls later is dropped with reason "horizon"; its path runs up
@@ -39,22 +45,21 @@ server.
 
 Columns. run_sim reads a traffic.PACKET_DTYPE table and returns a SimResult,
 one column per field; DeliveryRecord rows exist only while it is read.
+write_records streams records.csv from those columns a block of rows at a
+time.
 """
 
 from __future__ import annotations
 
 import functools
 import graphlib
-import itertools
 import math
-import operator
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, SimulationError, TopologyError
-from .ioutil import atomic_write_text
+from .ioutil import atomic_open
 from .traffic import as_workload
 
 MODES = ("centralized", "decentralized")
@@ -62,6 +67,11 @@ LIGHT_SPEED_M_S = 3.0e8
 # Codes of SimResult.outcome; a dropped packet's code indexes its reason.
 OUTCOMES = ("horizon", "queue", "delivered")
 _HORIZON, _QUEUE, DELIVERED = range(3)
+# Arrivals a channel serves per block of Python floats; bounds the sweep's
+# scratch memory.
+_BLOCK = 2048
+# Rows of records.csv formatted per write.
+_RECORD_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -305,7 +315,11 @@ def run_sim(topology: Topology, workload, horizon: float | None = None) -> SimRe
     packets = as_workload(workload)
     pid, src, size = packets["packet_id"], packets["src"], packets["size"]
     created = packets["creation_time"]
-    for bad, problem in ((~np.isin(src, list(topology.paths)), "unknown source {src}"),
+    sources = np.array(sorted(topology.paths), dtype=np.int64)
+    row = np.searchsorted(sources, src)  # per packet, its source's route row
+    known = row < len(sources)
+    known[known] = sources[row[known]] == src[known]
+    for bad, problem in ((~known, "unknown source {src}"),
                          (size <= 0, "non-positive size"),
                          (~np.isfinite(created), "non-finite creation_time {t!r}")):
         if bad.any():
@@ -314,135 +328,195 @@ def run_sim(topology: Topology, workload, horizon: float | None = None) -> SimRe
                 src=src[i].item(), t=created[i].item()))
 
     order = _channel_order(topology)
-    inbox: dict[str, list[int]] = {name: [] for name in order}
-    # Per source, one leg per hop: (the hop channel's inbox, propagation
-    # time, the next hop channel's inbox or None).
-    routes, walked = {}, {}
-    for s, path in topology.paths.items():
-        walked[s] = (path[0].src,) + tuple(hop.dst for hop in path)
-        routes[s] = tuple(
-            (inbox[hop.channel], hop.distance / cfg.propagation_speed,
-             inbox[path[k + 1].channel] if k + 1 < len(path) else None)
-            for k, hop in enumerate(path))
-    route = [routes[s] for s in src.tolist()]  # per packet, its source's legs
-    for i, legs in enumerate(route):
-        legs[0][0].append(i)
+    code = {name: c for c, name in enumerate(order)}
+    depth = max(map(len, topology.paths.values()), default=0)
+    # Per route row and hop: the hop's channel code (-1 past the route's end;
+    # the spare column ends every route) and its propagation time.
+    route_chan = np.full((len(sources), depth + 1), -1, dtype=np.intp)
+    route_prop = np.zeros((len(sources), depth))
+    for r, s in enumerate(sources.tolist()):
+        for k, hop in enumerate(topology.paths[s]):
+            route_chan[r, k] = code[hop.channel]
+            route_prop[r, k] = hop.distance / cfg.propagation_speed
+    walked = {s: (path[0].src,) + tuple(hop.dst for hop in path)
+              for s, path in topology.paths.items()}
 
     outcome, hop_idx, delivered_at = _sweep(
-        topology, order, inbox, route, size, created,
-        math.inf if horizon is None else horizon)
+        [topology.channels[name] for name in order], route_chan, route_prop, row,
+        size * 8.0, created, cfg, math.inf if horizon is None else horizon)
 
     done = outcome == DELIVERED
     by_id = np.argsort(pid, kind="stable")
     return SimResult(
         packet_id=pid[by_id], src=src[by_id], size=size[by_id],
         send_time=created[by_id],
-        delivery_time=np.where(done, delivered_at, np.nan)[by_id],
+        delivery_time=delivered_at[by_id],
         outcome=outcome[by_id], hops=(hop_idx + done)[by_id], walked=walked)
 
 
-def _sweep(topology: Topology, order: list[str], inbox: dict[str, list[int]],
-           route: list, size: np.ndarray, created: np.ndarray, limit: float):
-    """One FIFO pass per channel in ``order``; each channel's inbox holds the
-    indices of the packets arriving there and is emptied as it is served.
+def _sweep(rates: list[float], route_chan: np.ndarray, route_prop: np.ndarray,
+           row: np.ndarray, bits: np.ndarray, created: np.ndarray,
+           cfg: TopologyConfig, limit: float):
+    """One FIFO pass per channel, in channel-code order; rates[c] is channel
+    c's bitrate and packet i follows route row[i].
 
-    Returns per packet its outcome, the index of the hop it ended on and its
-    delivery time (valid when delivered), as arrays.
+    Per-hop columns are indexed by slot k * n + i, packet i's hop k. Returns
+    per packet its outcome, the index of the hop it ended on and its delivery
+    time (nan unless delivered).
     """
-    cfg = topology.config
-    n = len(route)
-    bits = array("d", (size * 8.0).tobytes())
-    # Event columns (see the module docstring): event i < n is packet i's
-    # creation-time arrival, later ids are service ends and forwarded arrivals.
-    ev_time = array("d", created.astype(np.float64).tobytes())
-    ev_parent = array("q", [-1]) * n
-    ev_sub = array("q", range(n))
+    n, depth = len(row), route_prop.shape[1]
+    slot_chan = route_chan[:, :depth].T[:, row].ravel()
+    by_chan = np.argsort(slot_chan, kind="stable")
+    bounds = np.searchsorted(slot_chan, np.arange(len(rates) + 1), sorter=by_chan)
+    del slot_chan
+    # Arrival time (nan until the packet gets there), service end (nan unless
+    # accepted) and the slot whose service end it queued behind (-1 when it
+    # found the channel idle).
+    arrive = np.full(depth * n, np.nan)
+    arrive[:n] = created
+    end_at = np.full(depth * n, np.nan)
+    behind = np.full(depth * n, -1, dtype=np.intp)
+
+    def parent(ev: int) -> tuple[int, int]:
+        """Event ev's parent event (-1 for none) and sub-order."""
+        h = ev >> 1
+        if ev & 1:
+            j = int(behind[h])
+            return (ev - 1, 0) if j < 0 else (2 * j + 1, 1)
+        return (-1, h) if h < n else (2 * (h - n) + 1, 0)
 
     def precedes(a: int, b: int) -> bool:
-        """Whether event a pops before event b."""
+        """Whether event a pops before event b; event 2 * slot is the
+        arrival at that hop and 2 * slot + 1 its service end."""
         while True:
-            ta, tb = ev_time[a], ev_time[b]
+            ta = end_at[a >> 1] if a & 1 else arrive[a >> 1]
+            tb = end_at[b >> 1] if b & 1 else arrive[b >> 1]
             if ta != tb:
-                return ta < tb
-            pa, pb = ev_parent[a], ev_parent[b]
+                return bool(ta < tb)
+            (pa, sa), (pb, sb) = parent(a), parent(b)
             if pa == pb:
-                return ev_sub[a] < ev_sub[b]
+                return sa < sb
             if pa < 0 or pb < 0:
                 return pa < 0
             a, b = pa, pb
 
-    at = array("d", ev_time)        # time of packet i's arrival at its current channel
-    arrival = array("q", range(n))  # event id of that arrival
-    hop_idx = bytearray(n)
-    outcome = bytearray(n)          # _HORIZON, _QUEUE or DELIVERED
-    delivered_at = array("d", bytes(8 * n))
+    outcome = np.full(n, _HORIZON, dtype=np.uint8)
+    delivered_at = np.full(n, np.nan)
     cap = cfg.queue_capacity
-    proc = cfg.processing_delay
-    push_time, push_parent, push_sub = ev_time.append, ev_parent.append, ev_sub.append
-    for name in order:
-        waiting = inbox[name]
-        waiting.sort(key=at.__getitem__)
-        # any two neighbours at the same time? (streamed, no list of times)
-        if any(map(operator.eq, map(at.__getitem__, waiting),
-                   map(at.__getitem__, itertools.islice(waiting, 1, None)))):
-            _order_ties(waiting, at, arrival, precedes)
-        rate = topology.channels[name]
-        ends = array("d")    # service ends of the packets accepted here, FIFO order
-        end_ev = array("q")  # and their event ids
-        head = accepted = 0  # ends[head:accepted] are in service or queued
-        for i in waiting:
-            t = at[i]
-            if t > limit:
-                continue
-            a = arrival[i]
-            while head < accepted:
-                e = ends[head]
-                if e < t or (e == t and precedes(end_ev[head], a)):
-                    head += 1
-                else:
-                    break
-            if head < accepted:
-                if accepted - head > cap:
-                    outcome[i] = _QUEUE
-                    continue
-                start, parent, sub = ends[-1], end_ev[-1], 1
-            else:
-                start, parent, sub = t, a, 0
-            end = start + bits[i] / rate
-            se = len(ev_time)
-            push_time(end)
-            push_parent(parent)
-            push_sub(sub)
-            ends.append(end)
-            end_ev.append(se)
-            accepted += 1
-            if end > limit:
-                continue
-            leg = route[i][hop_idx[i]]
-            nxt = end + leg[1] + proc
-            if leg[2] is None:
-                if nxt <= limit:
-                    outcome[i] = DELIVERED
-                    delivered_at[i] = nxt
-            else:
-                hop_idx[i] += 1
-                at[i] = nxt
-                arrival[i] = se + 1
-                push_time(nxt)
-                push_parent(se)
-                push_sub(0)
-                leg[2].append(i)
-        waiting.clear()
-    return (np.frombuffer(outcome, np.uint8), np.frombuffer(hop_idx, np.uint8),
-            np.frombuffer(delivered_at, np.float64))
+    for c, rate in enumerate(rates):
+        slots = by_chan[bounds[c]:bounds[c + 1]]
+        times = arrive[slots]
+        reached = ~(np.isnan(times) | (times > limit))
+        slots, times = slots[reached], times[reached]
+        by_time = np.argsort(times, kind="stable")
+        slots, times = slots[by_time], times[by_time]
+        _order_ties(slots, times, precedes)
+        queued = _serve(slots, times, bits[slots % n] / rate, cap, end_at, behind,
+                        precedes)
+        outcome[slots[queued > cap] % n] = _QUEUE
+        served = slots[queued <= cap]
+        ends = end_at[served]
+        on_time = ~(ends > limit)
+        served, ends = served[on_time], ends[on_time]
+        i, k = served % n, served // n
+        nxt = ends + route_prop[row[i], k] + cfg.processing_delay
+        onward = route_chan[row[i], k + 1] >= 0
+        arrive[served[onward] + n] = nxt[onward]
+        last = ~onward & (nxt <= limit)
+        outcome[i[last]] = DELIVERED
+        delivered_at[i[last]] = nxt[last]
+    hop_idx = np.zeros(n, dtype=np.uint8)
+    for k in range(1, depth):
+        hop_idx += ~np.isnan(arrive[k * n:(k + 1) * n])
+    return outcome, hop_idx, delivered_at
 
 
-def _order_ties(waiting: list[int], at, arrival, precedes) -> None:
+def _order_ties(slots: np.ndarray, times: np.ndarray, precedes) -> None:
     """Put each run of equal arrival times into pop order, in place."""
-    key = functools.cmp_to_key(
-        lambda i, j: -1 if precedes(arrival[i], arrival[j]) else 1)
-    waiting[:] = [i for _, run in itertools.groupby(waiting, key=at.__getitem__)
-                  for i in sorted(run, key=key)]
+    tied = np.flatnonzero(times[1:] == times[:-1])
+    if not tied.size:
+        return
+    breaks = np.flatnonzero(np.diff(tied) != 1)
+    key = functools.cmp_to_key(lambda a, b: -1 if precedes(2 * a, 2 * b) else 1)
+    for lo, hi in zip(tied[np.r_[0, breaks + 1]].tolist(),
+                      (tied[np.r_[breaks, -1]] + 2).tolist()):
+        slots[lo:hi] = sorted(slots[lo:hi].tolist(), key=key)
+
+
+def _serve(slots: np.ndarray, times: np.ndarray, service: np.ndarray, cap: int,
+           end_at: np.ndarray, behind: np.ndarray, precedes) -> np.ndarray:
+    """Serve one channel's arrivals, given in pop order, through a FIFO that
+    holds the packet in service plus at most cap waiting ones.
+
+    Fills end_at and behind at the accepted slots and returns the queue
+    length each arrival found: 0 when the channel was idle, above cap when
+    the arrival was dropped. The arrivals are walked as Python floats in
+    blocks of _BLOCK.
+    """
+    queued = np.empty(len(slots), dtype=np.intp)
+    ends: list[float] = []  # the FIFO's service ends, oldest first
+    fifo: list[int] = []    # their slots, as far as written to the columns
+    last, prev = -math.inf, -1  # service end and slot of the latest accepted packet
+    for start in range(0, len(slots), _BLOCK):
+        block = slots[start:start + _BLOCK]
+        lengths: list[int] = []
+        written = 0  # lengths[:written] are in the columns
+
+        def write() -> None:
+            """Write the packets accepted since the last call to the columns."""
+            nonlocal written, prev
+            found = np.array(lengths[written:], dtype=np.intp)
+            took = found <= cap
+            accepted = block[written:len(lengths)][took]
+            if accepted.size:
+                end_at[accepted] = ends[len(fifo):]
+                behind[accepted] = np.where(found[took] > 0,
+                                            np.r_[prev, accepted[:-1]], -1)
+                fifo.extend(accepted.tolist())
+                prev = fifo[-1]
+            written = len(lengths)
+
+        def end_first(j: int, q: int) -> bool:
+            """Whether ends[j] pops before the arrival at block position q."""
+            write()
+            return precedes(2 * fifo[j] + 1, 2 * int(block[q]))
+
+        head, last = _fifo(times[start:start + _BLOCK].tolist(),
+                           service[start:start + _BLOCK].tolist(),
+                           cap, ends, last, lengths, end_first)
+        write()
+        queued[start:start + len(block)] = lengths
+        del ends[:head], fifo[:head]
+    return queued
+
+
+def _fifo(times: list[float], service: list[float], cap: int, ends: list[float],
+          last: float, lengths: list[int], end_first) -> tuple[int, float]:
+    """The per-arrival loop of _serve over one block.
+
+    ends holds the FIFO's service ends and last the latest of them. Appends
+    each arrival's queue length to lengths and each accepted service end,
+    max(arrival, last) + service time, to ends. Returns how many of ends have
+    finished and the new last.
+    """
+    head, size = 0, len(ends)
+    for t, s in zip(times, service):
+        if last < t:
+            head = size
+        else:
+            while ends[head] < t:
+                head += 1
+            while ends[head] == t and end_first(head, len(lengths)):
+                head += 1
+                if head == size:
+                    break
+        q = size - head
+        lengths.append(q)
+        if q <= cap:
+            last = (last if q else t) + s
+            ends.append(last)
+            size += 1
+    return head, last
 
 
 def conservation_check(result: SimResult, workload) -> dict:
@@ -484,10 +558,14 @@ def conservation_check(result: SimResult, workload) -> dict:
 
 
 def write_records(result: SimResult, path: str) -> None:
-    done = (result.outcome == DELIVERED).tolist()
-    rows = zip(map(str, result.packet_id.tolist()), map(str, result.src.tolist()),
-               map(str, result.hops.tolist()), map(repr, result.send_time.tolist()),
-               [repr(t) if d else "" for t, d in zip(result.delivery_time.tolist(), done)],
-               ["0" if d else "1" for d in done])
-    lines = ["packet_id,src,hops,send_time,delivery_time,dropped", *map(",".join, rows)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write records.csv, one row per packet, streamed in blocks of
+    _RECORD_BLOCK rows."""
+    columns = (result.packet_id, result.src, result.hops, result.send_time,
+               result.delivery_time, result.outcome)
+    with atomic_open(path) as fh:
+        fh.write("packet_id,src,hops,send_time,delivery_time,dropped\n")
+        for start in range(0, len(result), _RECORD_BLOCK):
+            rows = zip(*(c[start:start + _RECORD_BLOCK].tolist() for c in columns))
+            fh.write("".join([f"{pid},{src},{hops},{sent!r},{when!r},0\n"
+                              if code == DELIVERED else f"{pid},{src},{hops},{sent!r},,1\n"
+                              for pid, src, hops, sent, when, code in rows]))

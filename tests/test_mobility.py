@@ -255,6 +255,22 @@ def test_read_trace_rejects_non_utf8(tmp_path):
         read_trace(str(path))
 
 
+@pytest.mark.parametrize("body", [
+    # numpy used to read these id columns as float64: the first message
+    # named 9.223372036854776e+18, and the second file failed at line 4
+    # with "time not strictly increasing" because both big ids became equal
+    TRACE_HEADER + "\n0,5,1,2\n0,9223372036854775808,1,2\n",
+    TRACE_HEADER + "\n0,5,1,2\n0,9223372036854775808,1,2\n0,9223372036854775809,1,2\n",
+])
+def test_read_trace_names_an_id_past_int64_exactly(tmp_path, body):
+    path = tmp_path / "trace.csv"
+    path.write_text(body)
+    with pytest.raises(TraceParseError) as err:
+        read_trace(str(path))
+    assert str(err.value) == (f"{path}:3: station id 9223372036854775808 is above "
+                              "9223372036853, the largest a packet id encodes")
+
+
 def test_read_trace_rejects_out_of_arena(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text(TRACE_HEADER + "\n0,0,900,2\n")
