@@ -30,7 +30,6 @@ TRAIN_REPORT_FILE = "train_report.json"
 PREDICTIONS_FILE = "predictions.csv"
 CLUSTERS_FILE = "clusters.json"
 HEADS_FILE = "heads.json"
-SWEEP_FILE = "sweep.csv"
 RECORDS_FILE = "records.csv"
 REPORT_CSV_FILE = "report.csv"
 REPORT_JSON_FILE = "report.json"
@@ -153,16 +152,6 @@ def cmd_heads(args) -> None:
     selection = headselect.select_heads(assignment.members(), _station_radios(cfg, preds))
     path = os.path.join(out, HEADS_FILE)
     headselect.write_heads(selection, path)
-
-    sweep_lines = ["cluster,w,argmin_id"]
-    for cluster, sums in sorted(selection.sums.items()):
-        if sums.size < 2:
-            continue
-        sweep = headselect.weight_sweep(sums)
-        for w, sid in zip(sweep.w_grid, sweep.argmin_ids):
-            sweep_lines.append(f"{cluster},{w!r},{sid}")
-    atomic_write_text(os.path.join(out, SWEEP_FILE), "\n".join(sweep_lines) + "\n")
-
     heads_str = ", ".join(f"{c}->{ch.head_id}" for c, ch in sorted(selection.heads.items()))
     print(f"wrote {path}: heads {heads_str}")
 

@@ -1,9 +1,10 @@
 """K-means partitioning of station positions with automatic k selection.
 
-The cluster count comes from the within-cluster-sum-of-squares curve: run
-k-means for every candidate k, then pick the point of the curve farthest from
-the straight line joining its endpoints (the usual knee heuristic). A config
-override can pin k instead.
+Without a pinned k, the cluster count comes from the within-cluster-sum-of-
+squares curve: run k-means for every candidate k, then pick the point of the
+curve farthest from the straight line joining its endpoints (the usual knee
+heuristic). A config override can pin k instead; that k is fitted alone and
+no curve is recorded.
 """
 
 from __future__ import annotations
@@ -252,37 +253,32 @@ def create_clusters(positions: dict[int, tuple[float, float]],
                     fixed_k: int | None = None) -> ClusterAssignment:
     """Full selection pipeline over a station_id -> (x, y) map.
 
-    The WCSS curve is always computed and recorded, even when fixed_k pins
-    the final cluster count, so reports can show it either way.
+    Without fixed_k, k is the knee of the WCSS curve over k = 1..k_max, and
+    the curve is recorded. With fixed_k, only that k is fitted and the curve
+    is left empty; each k's restarts are seeded by (seed, k, restart), so the
+    fit is the one the curve would have held.
     """
     if not positions:
         raise ClusteringError("no positions given")
     ids = sorted(positions)
     points = _checked([positions[sid] for sid in ids], seed, restarts)
-    n = len(ids)
     distinct = np.unique(points, axis=0).shape[0]
-    if k_max is None:
-        k_max = min(10, n - 1) if n > 1 else 1
-    k_max = max(1, min(k_max, distinct))
-
-    fits = [_best_kmeans(points, k, seed, restarts) for k in range(1, k_max + 1)]
-    curve = _curve(fits)
+    curve: list[tuple[int, float]] = []
     no_knee = False
     if fixed_k is not None:
         if not (1 <= fixed_k <= distinct):
             raise ClusteringError(
                 f"fixed_k {fixed_k} not in [1, {distinct}] for this data")
-        chosen = fixed_k
-    elif len(curve) < 3:
-        chosen, no_knee = curve[0][0], True
+        best = _best_kmeans(points, fixed_k, seed, restarts)
     else:
-        chosen, no_knee = knee_point(curve)
-
-    # the curve's fits are seeded per k, so a chosen k on the curve is done
-    best = (fits[chosen - 1] if chosen <= k_max
-            else _best_kmeans(points, chosen, seed, restarts))
+        k_max = max(1, min(min(10, len(ids) - 1) if k_max is None else k_max, distinct))
+        fits = [_best_kmeans(points, k, seed, restarts) for k in range(1, k_max + 1)]
+        curve = _curve(fits)
+        # a curve too short for a knee falls back to k = 1
+        chosen, no_knee = knee_point(curve) if len(curve) >= 3 else (1, True)
+        best = fits[chosen - 1]
     return ClusterAssignment(
-        k=chosen, station_ids=ids, labels=best.labels, centroids=best.centroids,
+        k=best.k, station_ids=ids, labels=best.labels, centroids=best.centroids,
         wcss=best.wcss, wcss_curve=curve, no_knee=no_knee,
         iteration_wcss=best.iteration_wcss)
 

@@ -70,10 +70,7 @@ class ClusterHead:
 
 @dataclass(frozen=True)
 class HeadSelection:
-    """Elected heads; `sums` keeps each cluster's PairwiseSums for the sweep
-    (filled by select_heads, empty after read_heads, never written)."""
     heads: dict[int, ClusterHead]
-    sums: dict[int, PairwiseSums] = field(default_factory=dict, compare=False)
 
     def head_ids(self) -> dict[int, int]:
         return {c: ch.head_id for c, ch in self.heads.items()}
@@ -198,7 +195,7 @@ def select_heads(clusters: dict[int, list[int]],
             members = [radios[sid] for sid in member_ids]
         except KeyError as exc:
             raise SelectionError(f"no radio for station {exc.args[0]}") from exc
-        sums = selection.sums[cluster] = build_pairwise(members)
+        sums = build_pairwise(members)
         scores = heuristic_score(sums)
         head_id = sums.station_ids[int(np.argmax(scores))]
         selection.heads[cluster] = ClusterHead(cluster=cluster, head_id=head_id,

@@ -80,23 +80,32 @@ def compute_report(result, duration: float, mode: str, clustering: bool) -> RunR
         raise MetricsError(f"duration must be > 0, got {duration}")
     sids, which = np.unique(result.src, return_inverse=True)
     done = result.outcome == DELIVERED
-    dropped = np.bincount(which[~done], minlength=sids.size).tolist()
+    dropped = np.bincount(which[~done], minlength=sids.size)
     # each station's deliveries, in (delivery_time, packet_id) order
-    when = result.delivery_time[done]
-    order = np.lexsort((result.packet_id[done], when, which[done]))
-    cuts = np.cumsum(np.bincount(which[done], minlength=sids.size))[:-1]
-    delays = np.split(((when - result.send_time[done]) * 1e3)[order], cuts)
-    sizes = np.split(result.size[done][order], cuts)
+    station, when = which[done], result.delivery_time[done]
+    order = np.lexsort((result.packet_id[done], when, station))
+    delays = ((when - result.send_time[done]) * 1e3)[order]
+    sizes = result.size[done][order]
+    counts = np.bincount(station, minlength=sids.size)
+    starts = np.cumsum(counts) - counts
+    # Stations with equal counts reduce as rows of one (stations, count)
+    # block, each row summed as np.mean sums a 1-D array, float for float.
+    delay_ms, jitter_ms = np.zeros(sids.size), np.zeros(sids.size)
+    nbytes = np.zeros(sids.size, dtype=np.int64)
+    for count in np.unique(counts[counts > 0]).tolist():
+        group = np.flatnonzero(counts == count)
+        rows = starts[group, None] + np.arange(count)
+        block = delays[rows]
+        delay_ms[group] = block.mean(axis=1)
+        nbytes[group] = sizes[rows].sum(axis=1)
+        if count > 1:
+            jitter_ms[group] = np.abs(np.diff(block, axis=1)).mean(axis=1)
 
-    stations: dict[int, StationStats] = {}
-    for sid, d, nbytes, lost in zip(sids.tolist(), delays, map(int, map(np.sum, sizes)),
-                                    dropped):
-        if not d.size:
-            stations[sid] = StationStats(sid, 0, lost, 0, None, None, None)
-            continue
-        jitter = float(np.mean(np.abs(np.diff(d)))) if d.size > 1 else 0.0
-        stations[sid] = StationStats(sid, d.size, lost, nbytes, float(d.mean()),
-                                     jitter, nbytes / duration)
+    stations = {sid: StationStats(sid, n, lost, nb, delay, jitter, nb / duration) if n
+                else StationStats(sid, 0, lost, 0, None, None, None)
+                for sid, n, lost, nb, delay, jitter in zip(
+                    sids.tolist(), counts.tolist(), dropped.tolist(), nbytes.tolist(),
+                    delay_ms.tolist(), jitter_ms.tolist())}
     return RunReport(duration=duration, stations=stations,
                      aggregates=aggregate_stats(stations),
                      mode=mode, clustering=clustering)

@@ -12,8 +12,8 @@ it is one CSV row per (station_id, time), grouped by station.
 
 from __future__ import annotations
 
-import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +27,8 @@ from .traffic import MAX_STATION_ID
 EPSILON_SPEED = 0.01
 
 TRACE_HEADER = "time,station_id,x,y"
-# Rows split and converted at a time by read_trace; bounds its scratch memory.
-_PARSE_BLOCK = 8192
-_CONVERTERS = (float, int, float, float)  # time, station_id, x, y
+_TRACE_DTYPE = np.dtype([("t", np.float64), ("station_id", np.int64),
+                         ("x", np.float64), ("y", np.float64)])
 
 
 def quantize(value: float) -> float:
@@ -171,41 +170,40 @@ def write_trace(trace: Trace, path: str) -> None:
     atomic_write_text(path, "".join(parts))
 
 
-def _parse_rows(path: str, rows: list[str], linenos: np.ndarray,
-                columns: tuple[list, ...]) -> None:
-    """Append one array per column for rows of four cells, or raise at the
-    first cell (in file order) that Python's int/float rejects."""
-    if not rows:
-        return
-    cells = ",".join(rows).split(",")
-    try:
-        arrays = [np.array(list(map(convert, cells[j::4])))
-                  for j, convert in enumerate(_CONVERTERS)]
-    except ValueError:
-        for i, cell in enumerate(cells):
-            try:
-                _CONVERTERS[i % 4](cell)
-            except ValueError as exc:
-                raise TraceParseError(path, str(exc), line=int(linenos[i // 4])) from None
-    if arrays[1].dtype.kind in "uf":
-        # Ids from 2**63 up come out as uint64, or float64 next to smaller
-        # ones, and np.concatenate makes a uint64 block float64 next to an
-        # int64 one; an object column keeps every id an exact Python int.
-        arrays[1] = np.array(list(map(int, cells[1::4])), dtype=object)
-    for column, array in zip(columns, arrays):
-        column.append(array)
-
-
 def read_trace(path: str, config: ArenaConfig | None = None) -> Trace:
     """Parse a trace CSV back into a Trace.
 
-    The body is read in blocks of rows, each split once and converted column
-    by column (Python's own int and float), then checked with whole-column
-    comparisons. Every error raises TraceParseError naming the file and, when
-    a row is at fault, the 1-based line of the first such row. The file format
-    carries no arena metadata, so the config is supplied by the caller and
-    validated against the data when present.
+    The body is read in one np.loadtxt pass. A file that pass cannot take, or
+    that fails a check, is read again line by line, and the error raises
+    TraceParseError naming the file and, when a row is at fault, the 1-based
+    line of the first such row. The format carries no arena metadata, so the
+    caller supplies any config to check the data against.
     """
+    try:
+        return _read_fast(path, config)
+    except (ValueError, Warning, TraceParseError):
+        return _read_lines(path, config)
+
+
+def _read_fast(path: str, config: ArenaConfig | None) -> Trace:
+    """The trace from one np.loadtxt pass, raising where _read_lines must
+    read the file. Warnings raise: numpy 1.23 and 1.24 read a float cell into
+    the int id column with a DeprecationWarning, where int() rejects it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        if fh.readline().rstrip("\n\r") != TRACE_HEADER:
+            raise ValueError("not a trace header")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
+                          dtype=_TRACE_DTYPE, ndmin=1, encoding="utf-8")
+    # The line numbers are right unless loadtxt skipped a blank line; a fault
+    # is reported by _read_lines either way.
+    return _to_trace(path, rows["t"], rows["station_id"], rows["x"], rows["y"],
+                     range(2, rows.size + 2), config)
+
+
+def _read_lines(path: str, config: ArenaConfig | None) -> Trace:
+    """The trace read one line at a time, raising at the first bad line."""
     columns, linenos = ([], [], [], []), []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -213,28 +211,33 @@ def read_trace(path: str, config: ArenaConfig | None = None) -> Trace:
             if header != TRACE_HEADER:
                 raise TraceParseError(
                     path, f"expected header {TRACE_HEADER!r}, got {header!r}", line=1)
-            block_line = 2  # line number of the block's first line
-            while block := [raw.strip() for raw in itertools.islice(fh, _PARSE_BLOCK)]:
-                keep = [i for i, s in enumerate(block) if s]
-                rows = [block[i] for i in keep]
-                numbers = np.array(keep, dtype=np.intp) + block_line
-                block_line += len(block)
-                ragged = next((i for i, s in enumerate(rows) if s.count(",") != 3), None)
-                # Rows before a ragged one are parsed first, so the earliest
-                # bad line in the file is the one reported.
-                _parse_rows(path, rows[:ragged], numbers, columns)
-                if ragged is not None:
-                    raise TraceParseError(
-                        path, f"expected 4 columns, got {rows[ragged].count(',') + 1}",
-                        line=int(numbers[ragged]))
-                linenos.append(numbers)
+            for lineno, raw in enumerate(fh, start=2):
+                if not (row := raw.strip()):
+                    continue
+                cells = row.split(",")
+                if len(cells) != 4:
+                    raise TraceParseError(path, f"expected 4 columns, got {len(cells)}",
+                                          line=lineno)
+                try:
+                    for column, convert, cell in zip(columns, (float, int, float, float), cells):
+                        column.append(convert(cell))
+                except ValueError as exc:
+                    raise TraceParseError(path, str(exc), line=lineno) from None
+                linenos.append(lineno)
     except UnicodeDecodeError as exc:
         raise TraceParseError(path, f"not UTF-8 text: {exc}") from None
-    if not columns[0]:
-        raise TraceParseError(path, "no samples")
-    linenos = np.concatenate(linenos)
-    t, sid, x, y = map(np.concatenate, columns)
+    t, sid, x, y = columns
+    # an object column keeps every id an exact Python int, past int64 too
+    return _to_trace(path, np.array(t, dtype=float), np.array(sid, dtype=object),
+                     np.array(x, dtype=float), np.array(y, dtype=float), linenos, config)
 
+
+def _to_trace(path: str, t: np.ndarray, sid: np.ndarray, x: np.ndarray, y: np.ndarray,
+              linenos, config: ArenaConfig | None) -> Trace:
+    """Check the parsed columns, whose rows come from the lines `linenos`,
+    and build the Trace; a fault raises TraceParseError at its row's line."""
+    if not len(t):
+        raise TraceParseError(path, "no samples")
     # Ids beyond int64 make `sid` an object array of Python ints.
     same_station = sid[1:] == sid[:-1]
     checks = (
@@ -257,7 +260,7 @@ def read_trace(path: str, config: ArenaConfig | None = None) -> Trace:
 
     starts = np.flatnonzero(np.r_[True, ~same_station])
     n_times = len(t) if len(starts) == 1 else int(starts[1])
-    times = t[:n_times]
+    times = t[:n_times].copy()  # not a view that keeps every row alive
     if n_times >= 2:
         spacing = np.diff(times)
         uneven = np.flatnonzero(

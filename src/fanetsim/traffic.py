@@ -66,40 +66,38 @@ def packet_id(station_id: int, index: int) -> int:
     return station_id * PACKET_ID_STRIDE + index
 
 
-def _draw_sizes(rng: np.random.Generator, params: TrafficParams, n: int) -> np.ndarray:
-    if params.size_sigma == 0:
-        return np.full(n, int(round(params.mean_size)), dtype=np.int64)
-    sizes = np.rint(rng.normal(params.mean_size, params.size_sigma, n)).astype(np.int64)
-    for _ in range(_MAX_REDRAW_PASSES):
-        bad = (sizes < params.min_size) | (sizes > params.max_size)
-        if not bad.any():
-            return sizes
-        sizes[bad] = np.rint(
-            rng.normal(params.mean_size, params.size_sigma, int(bad.sum()))).astype(np.int64)
-    raise ConfigError("packet size bounds reject nearly every draw; widen them")
-
-
-def _draw_flow(station_id: int, params: TrafficParams) -> tuple[np.ndarray, np.ndarray]:
-    """One station's packet sizes and creation times."""
-    if station_id < 0:
-        raise ConfigError(f"station_id must be >= 0, got {station_id}")
-    rng = np.random.default_rng([params.seed, station_id])
+def _draw_flows(ids: list[int], params: TrafficParams) -> tuple[np.ndarray, np.ndarray]:
+    """Packet sizes and inter-arrival gaps, one (stations, packets) row per
+    id. Each station draws from its own substream: its sizes, the redraws of
+    any outside the bounds, then its gaps."""
+    if min(ids) < 0:
+        raise ConfigError(f"station_id must be >= 0, got {min(ids)}")
+    rngs = [np.random.default_rng([params.seed, sid]) for sid in ids]
     n = params.packets_per_station
-    sizes = _draw_sizes(rng, params, n)
-    gaps = rng.exponential(params.mean_interarrival, n)
-    return sizes, np.cumsum(gaps)
+    if params.size_sigma == 0:
+        sizes = np.full((len(ids), n), int(round(params.mean_size)), dtype=np.int64)
+    else:
+        sizes = np.rint(np.array([rng.normal(params.mean_size, params.size_sigma, n)
+                                  for rng in rngs])).astype(np.int64)
+        outside = (sizes < params.min_size) | (sizes > params.max_size)
+        for k in np.flatnonzero(outside.any(axis=1)):
+            for _ in range(_MAX_REDRAW_PASSES):
+                bad = (sizes[k] < params.min_size) | (sizes[k] > params.max_size)
+                if not bad.any():
+                    break
+                sizes[k, bad] = np.rint(rngs[k].normal(
+                    params.mean_size, params.size_sigma, int(bad.sum()))).astype(np.int64)
+            else:
+                raise ConfigError("packet size bounds reject nearly every draw; widen them")
+    gaps = np.array([rng.exponential(params.mean_interarrival, n) for rng in rngs])
+    return sizes, gaps
 
 
 def generate_flow(station_id: int, params: TrafficParams) -> list[Packet]:
-    """Deterministic flow for one station.
-
-    The station substream hashes (params.seed, station_id), so flows are
-    independent of each other and of how many stations exist. Sizes are drawn
-    first, then inter-arrival gaps; creation times are the gap cumulative sum.
-    """
-    sizes, times = _draw_flow(station_id, params)
-    return [Packet(packet_id(station_id, i), station_id, size, t)
-            for i, (size, t) in enumerate(zip(sizes.tolist(), times.tolist()))]
+    """One station's rows of generate_workload, as Packets. The station's
+    substream hashes (params.seed, station_id), so its flow does not depend
+    on which other stations exist."""
+    return [Packet(*row) for row in generate_workload([station_id], params).tolist()]
 
 
 def generate_workload(station_ids, params: TrafficParams) -> np.ndarray:
@@ -111,13 +109,18 @@ def generate_workload(station_ids, params: TrafficParams) -> np.ndarray:
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate station ids in workload")
     n = params.packets_per_station
-    packets = np.empty(len(ids) * n, dtype=PACKET_DTYPE)
-    for k, sid in enumerate(ids):
-        flow = packets[k * n:(k + 1) * n]
-        flow["size"], flow["creation_time"] = _draw_flow(sid, params)
-        flow["packet_id"] = packet_id(sid, np.arange(n))
-        flow["src"] = sid
-    return packets[np.lexsort((packets["packet_id"], packets["creation_time"]))]
+    sizes, gaps = _draw_flows(ids, params)
+    # Row k holds station ids[k]'s flow, so the flat layout is in packet_id
+    # order and a stable sort of creation times keeps that order among ties.
+    created = np.cumsum(gaps, axis=1).ravel()
+    order = np.argsort(created, kind="stable")
+    src = np.repeat(np.array(ids, dtype=np.int64), n)[order]
+    packets = np.empty(created.size, dtype=PACKET_DTYPE)
+    packets["packet_id"] = packet_id(src, order % n)
+    packets["src"] = src
+    packets["size"] = sizes.ravel()[order]
+    packets["creation_time"] = created[order]
+    return packets
 
 
 def as_workload(packets) -> np.ndarray:

@@ -86,7 +86,7 @@ def test_pipeline_artifacts_present(chain):
     out = chain / "out"
     for name in ("trace.csv", "model_x.json", "model_y.json",
                  "train_report.json", "predictions.csv", "clusters.json",
-                 "heads.json", "sweep.csv", "config_echo.ini"):
+                 "heads.json", "config_echo.ini"):
         assert (out / name).exists(), name
     for run_dir in ("cen_on", "cen_off", "dec_on", "dec_off"):
         for name in ("records.csv", "report.csv", "report.json"):
@@ -127,16 +127,6 @@ def test_train_report_beats_persistence(chain):
     summary = json.loads((chain / "out" / "train_report.json").read_text())
     for target in ("x", "y"):
         assert summary[target]["test_rmse"] < summary[target]["persistence_rmse"]
-
-
-def test_sweep_has_full_grid_per_cluster(chain):
-    clusters = json.loads((chain / "out" / "clusters.json").read_text())
-    lines = (chain / "out" / "sweep.csv").read_text().strip().split("\n")
-    assert lines[0] == "cluster,w,argmin_id"
-    sizes = collections.Counter(clusters["assignment"].values())
-    multi = sum(1 for n in sizes.values() if n >= 2)
-    assert multi >= 1
-    assert len(lines) == 1 + multi * 11
 
 
 def test_run_report_labels(chain):
@@ -314,8 +304,7 @@ def test_predict_rejects_swapped_model_files_exits_2(chain, tmp_path, capsys):
 
 
 def test_heads_builds_each_clusters_sums_once(chain, tmp_path, monkeypatch):
-    # The election's pairwise sums feed the weight sweep; the sweep used to
-    # build every cluster's sums a second time.
+    # Each cluster's pairwise tables are built once per election.
     calls = collections.Counter()
     build = headselect.build_pairwise
 
@@ -331,8 +320,7 @@ def test_heads_builds_each_clusters_sums_once(chain, tmp_path, monkeypatch):
                      "--predictions", str(o / "predictions.csv")]) == 0
     clusters = json.loads((o / "heads.json").read_text())["clusters"]
     assert calls == {tuple(sorted(c["member_ids"])): 1 for c in clusters.values()}
-    for name in ("heads.json", "sweep.csv"):
-        assert (out / name).read_bytes() == (o / name).read_bytes()
+    assert (out / "heads.json").read_bytes() == (o / "heads.json").read_bytes()
 
 
 def test_svg_charts_are_pinned():
@@ -501,8 +489,14 @@ def test_run_rejects_a_trace_that_disagrees_with_clusters(chain, tmp_path, capsy
     assert not (tmp_path / "r" / "records.csv").exists()
 
 
+# The chain pins k, so its clusters.json records no curve; the two curve
+# cases write one.
 def _rising_curve(payload):
-    payload["wcss_curve"][2][1] = payload["wcss_curve"][1][1] + 1.0
+    payload["wcss_curve"] = [[1, 9.0], [2, 8.0], [3, 8.5]]
+
+
+def _skipped_k(payload):
+    payload["wcss_curve"] = [[1, 9.0], [3, 8.0]]
 
 
 def _short_scores(payload):
@@ -528,7 +522,7 @@ def _huge_label(payload):
      "malformed clusters file {bad}: 'assignment' is not a JSON object"),
     ("clusters.json", _rising_curve,
      "clusters file {bad}: wcss_curve is not finite and non-increasing"),
-    ("clusters.json", lambda p: p["wcss_curve"].pop(1),
+    ("clusters.json", _skipped_k,
      "clusters file {bad}: wcss_curve k does not run 1, 2, ..."),
     ("report.json", lambda p: p.update(stations=[]),
      "malformed report file {bad}: 'stations' is not a JSON object"),

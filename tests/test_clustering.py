@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -156,6 +157,8 @@ def test_create_clusters():
 
     fixed = create_clusters(positions, seed=2, fixed_k=4)
     assert fixed.k == 4
+    # a pinned k is fitted alone, so there is no curve to record
+    assert fixed.wcss_curve == []
 
     with pytest.raises(ClusteringError):
         create_clusters({}, seed=0)
@@ -287,14 +290,15 @@ def test_read_clusters_rejects_malformed_payload(tmp_path, case, message):
     elif case == "assignment_list":
         payload["assignment"] = []  # used to load as a clustering of no stations
     elif case == "rising_curve":
-        payload["wcss_curve"][2][1] = payload["wcss_curve"][1][1] + 1.0
+        # the fixed-k payload records no curve, so each curve case writes one
+        payload["wcss_curve"] = [[1, 9.0], [2, 8.0], [3, 8.5]]
     elif case == "three_columns":
         for c in payload["centroids"]:  # used to load, and `fanetsim run` exited 0
             c.append(0.0)
     elif case == "flat_centroids":
         payload["centroids"] = [c[0] for c in payload["centroids"]]
     else:
-        del payload["wcss_curve"][1]
+        payload["wcss_curve"] = [[1, 9.0], [3, 8.0]]
     path.write_text(json.dumps(payload))
     with pytest.raises(ClusteringError, match=re.escape(f"clusters file {path}: {message}")):
         read_clusters(str(path))
@@ -316,6 +320,15 @@ def assert_same_run(new, ref):
     assert new.labels.dtype == ref.labels.dtype
     assert new.centroids.tobytes() == ref.centroids.tobytes()
     assert new.iteration_wcss == ref.iteration_wcss
+
+
+def assert_same_fit(new, ref, fixed_k):
+    """assert_same_run, except that a pinned k records no curve: the
+    reference still runs k = 1..k_max, and only its curve is left out."""
+    if fixed_k is not None:
+        assert new.wcss_curve == []
+        ref = dataclasses.replace(ref, wcss_curve=[])
+    assert_same_run(new, ref)
 
 
 def oracle_points(rng, n, layout, scale):
@@ -351,7 +364,7 @@ def test_create_clusters_matches_broadcast_loop(scale, large):
         new = create_clusters(positions, seed=seed, restarts=restarts, fixed_k=fixed_k)
         ref = reference.create_clusters(positions, seed=seed, restarts=restarts,
                                         fixed_k=fixed_k)
-        assert_same_run(new, ref)
+        assert_same_fit(new, ref, fixed_k)
 
 
 def test_kmeans_and_elbow_curve_match_broadcast_loop():
@@ -366,15 +379,17 @@ def test_kmeans_and_elbow_curve_match_broadcast_loop():
 
 
 def test_fixed_k_beyond_the_curve_matches_broadcast_loop():
-    # a pinned k on the curve reuses the curve's fit; one past it is fitted anew
+    # the reference fits k = 1..k_max and then the pinned k, on or past the
+    # curve; the pinned fit alone is the same, seeded by (seed, k, restart)
     pts = oracle_points(np.random.default_rng(3), 200, "blobs", 1.0)
     positions = dict(enumerate(map(tuple, pts.tolist())))
     for k_max, fixed_k in ((4, 4), (4, 7), (1, 2)):
         new = create_clusters(positions, k_max=k_max, seed=k_max, fixed_k=fixed_k)
         ref = reference.create_clusters(positions, k_max=k_max, seed=k_max,
                                         fixed_k=fixed_k)
-        assert_same_run(new, ref)
-        assert new.k == fixed_k and len(new.wcss_curve) == k_max
+        assert len(ref.wcss_curve) == k_max
+        assert_same_fit(new, ref, fixed_k)
+        assert new.k == fixed_k
 
 
 def test_repaired_empty_clusters_match_broadcast_loop(monkeypatch):
@@ -412,8 +427,8 @@ def test_fleet_clusters_match_broadcast_loop():
     positions = dict(zip(trace.station_ids,
                          map(tuple, trace.positions[:, -1].tolist())))
     args = dict(seed=cfg.cluster_seed(), restarts=cfg.restarts, fixed_k=cfg.fixed_k)
-    assert_same_run(create_clusters(positions, **args),
-                    reference.create_clusters(positions, **args))
+    assert_same_fit(create_clusters(positions, **args),
+                    reference.create_clusters(positions, **args), cfg.fixed_k)
 
 
 def test_points_must_be_planar():

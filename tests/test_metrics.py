@@ -198,11 +198,35 @@ def reference_compute_report(records, duration):
     return RunReport(duration, stations, aggregate_stats(stations), "centralized", True)
 
 
+# delivery counts at the edges of numpy's 8-way unrolled and 128-element
+# pairwise sums
+EDGE_COUNTS = (0, 1, 2, 7, 8, 9, 128, 129, 300)
+
+
+def edge_count_table(seed):
+    """Two stations per count in EDGE_COUNTS, sparse ids in no order, and
+    continuous delays, so a different summation order shows in the floats."""
+    rng = np.random.default_rng([seed, 1])
+    sids = rng.permutation(1000)[:2 * len(EDGE_COUNTS)].tolist()
+    records = []
+    for sid, n_done in zip(sids, EDGE_COUNTS * 2):
+        for j in range(max(n_done, 1)):  # a station that delivers nothing drops one
+            sent = rng.uniform(0.0, 5.0)
+            deliver = sent + rng.exponential(0.02) if j < n_done else None
+            records.append(rec(sid * 1_000_000 + j, sid, int(rng.integers(256, 2049)),
+                               sent, deliver, None if deliver else "queue"))
+    return table_of(records)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_compute_report_matches_per_record_fold(seed):
     table = random_table(seed)
     report = compute_report(table, 7.5, "centralized", True)
     assert report == reference_compute_report(list(table), 7.5)
+    edges = edge_count_table(seed)
+    edge_report = compute_report(edges, 7.5, "centralized", True)
+    assert edge_report == reference_compute_report(list(edges), 7.5)
+    assert sorted(s.delivered for s in edge_report.stations.values()) == sorted(EDGE_COUNTS * 2)
     # the fold does not lean on packet_id order, whatever order the rows come in
     shuffled = take(table, np.random.default_rng(seed).permutation(len(table)))
     assert compute_report(shuffled, 7.5, "centralized", True) == report

@@ -15,6 +15,7 @@ from fanetsim import (
     simulate_random_waypoint,
     write_trace,
 )
+from fanetsim import mobility
 from fanetsim.mobility import EPSILON_SPEED, TRACE_HEADER
 
 
@@ -140,6 +141,30 @@ def test_quantize_is_idempotent_on_samples():
         np.testing.assert_array_equal(pos, requantized)
 
 
+def outcome(read, path, config=None):
+    """A reader's Trace, or the text and line of its TraceParseError."""
+    try:
+        return read(str(path), config)
+    except TraceParseError as exc:
+        return str(exc), exc.line
+
+
+def assert_paths_agree(path, config=None):
+    """read_trace's loadtxt path, when it takes a file, gives the line
+    parser's Trace; read_trace gives the line parser's Trace or error.
+    Returns what the loadtxt path gave (None when it raised)."""
+    try:
+        fast = mobility._read_fast(str(path), config)
+    except Exception:  # read_trace falls back on it, and must then agree
+        fast = None
+    lines = outcome(mobility._read_lines, path, config)
+    if fast is not None:
+        assert isinstance(lines, Trace) and fast == lines
+        assert fast.station_ids == lines.station_ids
+    assert outcome(read_trace, path, config) == lines
+    return fast
+
+
 def test_trace_roundtrip(tmp_path):
     cfg = small(num_stations=6, duration=90.0, seed=9)
     trace = simulate_random_waypoint(cfg)
@@ -147,6 +172,7 @@ def test_trace_roundtrip(tmp_path):
     write_trace(trace, str(path))
     back = read_trace(str(path), cfg)
     assert back == trace
+    assert assert_paths_agree(path, cfg) == trace
     first = path.read_bytes()
     write_trace(back, str(path))
     assert path.read_bytes() == first
@@ -170,25 +196,30 @@ def test_read_trace_errors(tmp_path):
     path.write_text("nope\n")
     with pytest.raises(TraceParseError) as err:
         read_trace(str(path))
+    assert assert_paths_agree(path) is None
     assert err.value.line == 1
 
     path.write_text(TRACE_HEADER + "\n0,0,1\n")
     with pytest.raises(TraceParseError) as err:
         read_trace(str(path))
+    assert assert_paths_agree(path) is None
     assert err.value.line == 2
 
     path.write_text(TRACE_HEADER + "\n0,0,abc,2\n")
     with pytest.raises(TraceParseError):
         read_trace(str(path))
+    assert assert_paths_agree(path) is None
 
     path.write_text(TRACE_HEADER + "\n0,0,1,2\nnan,0,1,2\n")
     with pytest.raises(TraceParseError):
         read_trace(str(path))
+    assert assert_paths_agree(path) is None
 
     # ragged grids are rejected
     path.write_text(TRACE_HEADER + "\n0,0,1,2\n1,0,1,2\n0,1,3,4\n")
     with pytest.raises(TraceParseError):
         read_trace(str(path))
+    assert assert_paths_agree(path) is None
 
 
 H = TRACE_HEADER + "\n"
@@ -229,6 +260,7 @@ def test_read_trace_error_names_file_and_line(tmp_path, body, line, message, con
     path.write_text(body)
     with pytest.raises(TraceParseError) as err:
         read_trace(str(path), config)
+    assert assert_paths_agree(path, config) is None
     assert err.value.line == line
     assert err.value.path == str(path)
     assert str(err.value).startswith(f"{path}:{line}: ")
@@ -244,6 +276,7 @@ def test_read_trace_file_level_errors_name_file(tmp_path, body, message):
     path.write_text(body)
     with pytest.raises(TraceParseError) as err:
         read_trace(str(path))
+    assert assert_paths_agree(path) is None
     assert err.value.line is None
     assert str(err.value) == f"{path}: {message}"
 
@@ -253,6 +286,7 @@ def test_read_trace_rejects_non_utf8(tmp_path):
     path.write_bytes(TRACE_HEADER.encode() + b"\n0,0,\xff,2\n")
     with pytest.raises(TraceParseError, match=f"^{path}: not UTF-8"):
         read_trace(str(path))
+    assert assert_paths_agree(path) is None
 
 
 @pytest.mark.parametrize("body", [
@@ -267,6 +301,7 @@ def test_read_trace_names_an_id_past_int64_exactly(tmp_path, body):
     path.write_text(body)
     with pytest.raises(TraceParseError) as err:
         read_trace(str(path))
+    assert assert_paths_agree(path) is None
     assert str(err.value) == (f"{path}:3: station id 9223372036854775808 is above "
                               "9223372036853, the largest a packet id encodes")
 
@@ -276,9 +311,30 @@ def test_read_trace_rejects_out_of_arena(tmp_path):
     path.write_text(TRACE_HEADER + "\n0,0,900,2\n")
     with pytest.raises(TraceParseError):
         read_trace(str(path), ArenaConfig())
+    assert assert_paths_agree(path, ArenaConfig()) is None
     # without a config the same file parses fine
     trace = read_trace(str(path))
     assert trace.positions[0][0, 0] == 900.0
+    assert assert_paths_agree(path) == trace
+
+
+@pytest.mark.parametrize("body,expected", [
+    # numpy 1.23 and 1.24 read "3.0" into an int column with only a
+    # DeprecationWarning; int() rejects it
+    (H + "0,3.0,1,2\n", ("{path}:2: invalid literal for int() with base 10: '3.0'", 2)),
+    # float() and int() take underscores, loadtxt does not
+    (H + "0,0,1_000,2\n", Trace([0.0], [0], [[[1000.0, 2.0]]])),
+    (H + "0,1_0,1,2\n", Trace([0.0], [10], [[[1.0, 2.0]]])),
+    # the line parser skips a whitespace-only line, loadtxt does not
+    (H + "0,0,1,2\n   \n1,0,3,4\n", Trace([0.0, 1.0], [0], [[[1.0, 2.0], [3.0, 4.0]]])),
+])
+def test_read_trace_paths_agree_where_loadtxt_and_python_differ(tmp_path, body, expected):
+    path = tmp_path / "trace.csv"
+    path.write_text(body)
+    assert_paths_agree(path)
+    if isinstance(expected, tuple):
+        expected = (expected[0].format(path=path), expected[1])
+    assert outcome(read_trace, path) == expected
 
 
 def test_trace_shape_validation():
@@ -327,6 +383,7 @@ def test_trace_roundtrip_property(tmp_path_factory, trace):
     back = read_trace(str(path))
     assert back == trace
     assert back.station_ids == trace.station_ids
+    assert assert_paths_agree(path) == trace
     assert all(type(s) is int for s in back.station_ids)
     first = path.read_bytes()
     write_trace(back, str(path))

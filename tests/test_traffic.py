@@ -12,6 +12,7 @@ from fanetsim import (
     generate_flow,
     generate_workload,
 )
+from fanetsim import traffic
 from fanetsim.traffic import MAX_STATION_ID, PACKET_ID_STRIDE, packet_id
 
 
@@ -124,6 +125,53 @@ def test_workload_is_the_sorted_merge_of_the_flows(seed):
     packets = [p for sid in sorted(ids) for p in generate_flow(sid, params)]
     packets.sort(key=lambda p: (p.creation_time, p.packet_id))
     assert np.array_equal(generate_workload(ids, params), as_workload(packets))
+
+
+def reference_flow(sid, params):
+    """One station's sizes and creation times, drawn as the model states it:
+    normal sizes rounded, out-of-bounds ones redrawn, then the gaps."""
+    rng = np.random.default_rng([params.seed, sid])
+    n = params.packets_per_station
+    sizes = np.rint(rng.normal(params.mean_size, params.size_sigma, n)).astype(np.int64)
+    while (bad := (sizes < params.min_size) | (sizes > params.max_size)).any():
+        sizes[bad] = np.rint(rng.normal(params.mean_size, params.size_sigma,
+                                        int(bad.sum()))).astype(np.int64)
+    return sizes, np.cumsum(rng.exponential(params.mean_interarrival, n))
+
+
+def test_workload_matches_per_station_draws():
+    # a window off the size distribution's centre makes most stations redraw
+    params = TrafficParams(mean_size=300.0, size_sigma=400.0, packets_per_station=40,
+                           seed=6)
+    ids = [0, 5, *range(9, 60)]
+    rows = []
+    for sid in ids:
+        sizes, times = reference_flow(sid, params)
+        rows += [(t, packet_id(sid, i), sid, size)
+                 for i, (size, t) in enumerate(zip(sizes.tolist(), times.tolist()))]
+    rows.sort()
+    workload = generate_workload(ids, params)
+    assert workload["creation_time"].tolist() == [r[0] for r in rows]
+    assert workload["packet_id"].tolist() == [r[1] for r in rows]
+    assert workload["src"].tolist() == [r[2] for r in rows]
+    assert workload["size"].tolist() == [r[3] for r in rows]
+
+
+def test_equal_creation_times_go_in_packet_id_order(monkeypatch):
+    # every station gets the same gaps, so each creation time is shared by
+    # all of them and only packet_id orders the ties
+    draw = traffic._draw_flows
+
+    def shared_gaps(ids, params):
+        sizes, gaps = draw(ids, params)
+        return sizes, np.broadcast_to(gaps[0], gaps.shape).copy()
+
+    monkeypatch.setattr(traffic, "_draw_flows", shared_gaps)
+    params = TrafficParams(packets_per_station=30, seed=2)
+    workload = generate_workload([8, 1, 4], params)
+    keys = list(zip(workload["creation_time"].tolist(), workload["packet_id"].tolist()))
+    assert keys == sorted(keys)
+    assert workload["src"].tolist()[:3] == [1, 4, 8]
 
 
 def test_as_workload_keeps_list_order():
