@@ -1,9 +1,10 @@
 """Command-line pipeline: trace -> models -> clusters -> heads -> runs.
 
-Each subcommand reads its predecessor's artifact files, writes its own into
---out, and drops a config_echo.ini beside them so any stage can be rerun
-from disk alone. All outputs are deterministic for a given config and seed;
-rerunning a stage reproduces its files byte for byte.
+Each subcommand reads its predecessor's artifact files and writes its own
+into --out. `main` first loads the config, applies --seed and drops a
+config_echo.ini into --out, so any stage can be rerun from disk alone. All
+outputs are deterministic for a given config and seed; rerunning a stage
+reproduces its files byte for byte.
 """
 
 from __future__ import annotations
@@ -58,22 +59,11 @@ def _require(path: str, what: str) -> str:
     return path
 
 
-def _prepare(args) -> tuple[PipelineConfig, str]:
-    cfg = load_config(args.config) if args.config else PipelineConfig()
-    if args.seed is not None:
-        cfg = cfg.with_seed(args.seed).validate()
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    save_config(cfg, os.path.join(out, ECHO_FILE))
-    return cfg, out
-
-
 def _fmt_opt(v, spec=".6g"):
     return "none" if v is None else format(v, spec)
 
 
-def cmd_mobility(args) -> None:
-    cfg, out = _prepare(args)
+def cmd_mobility(cfg: PipelineConfig, out: str, args) -> None:
     trace = mobility.simulate_random_waypoint(cfg.arena_config())
     path = os.path.join(out, TRACE_FILE)
     mobility.write_trace(trace, path)
@@ -81,8 +71,7 @@ def cmd_mobility(args) -> None:
           f"{trace.num_samples} samples")
 
 
-def cmd_train(args) -> None:
-    cfg, out = _prepare(args)
+def cmd_train(cfg: PipelineConfig, out: str, args) -> None:
     trace = mobility.read_trace(_require(args.trace, "trace"), cfg.arena_config())
     dataset = predictor.build_dataset(
         trace, h=cfg.history_length, horizon=cfg.horizon,
@@ -102,8 +91,7 @@ def cmd_train(args) -> None:
     atomic_write_json(os.path.join(out, TRAIN_REPORT_FILE), summary)
 
 
-def cmd_predict(args) -> None:
-    cfg, out = _prepare(args)
+def cmd_predict(cfg: PipelineConfig, out: str, args) -> None:
     trace = mobility.read_trace(_require(args.trace, "trace"), cfg.arena_config())
     model_x = predictor.load_model(_require(args.model_x, "x model"))
     model_y = predictor.load_model(_require(args.model_y, "y model"))
@@ -118,8 +106,7 @@ def cmd_predict(args) -> None:
     print(f"wrote {path}: {len(preds)} stations at t={trace.times[-1]:g}")
 
 
-def cmd_cluster(args) -> None:
-    cfg, out = _prepare(args)
+def cmd_cluster(cfg: PipelineConfig, out: str, args) -> None:
     preds = predictor.read_predictions(_require(args.predictions, "predictions"))
     assignment = clustering_mod.create_clusters(
         preds, seed=cfg.cluster_seed(),
@@ -142,8 +129,7 @@ def _station_radios(cfg: PipelineConfig,
     return radios
 
 
-def cmd_heads(args) -> None:
-    cfg, out = _prepare(args)
+def cmd_heads(cfg: PipelineConfig, out: str, args) -> None:
     assignment = clustering_mod.read_clusters(_require(args.clusters, "clusters"))
     preds = predictor.read_predictions(_require(args.predictions, "predictions"))
     _check_agree(f"predictions file {args.predictions}", dict.fromkeys(preds, True),
@@ -164,8 +150,7 @@ def _check_agree(a_file: str, a: dict, b_file: str, b: dict, what: str) -> None:
             raise FanetSimError(f"{a_file} disagrees with {b_file} on {what} {key}")
 
 
-def cmd_run(args) -> None:
-    cfg, out = _prepare(args)
+def cmd_run(cfg: PipelineConfig, out: str, args) -> None:
     clustering_on = args.clustering == "on"
     trace = mobility.read_trace(_require(args.trace, "trace"), cfg.arena_config())
     positions = {sid: (x, y) for sid, (x, y)
@@ -224,9 +209,7 @@ def _dedup_labels(reports) -> list[str]:
     return labels
 
 
-def cmd_compare(args) -> None:
-    cfg, out = _prepare(args)
-    del cfg
+def cmd_compare(cfg: PipelineConfig, out: str, args) -> None:
     if not 2 <= len(args.reports) <= 4:
         raise _UsageError("compare takes between 2 and 4 report files")
     reports = [metrics.read_report(_require(p, "report")) for p in args.reports]
@@ -270,8 +253,7 @@ def cmd_compare(args) -> None:
         print(f"{comp.label_a} -> {comp.label_b}: " + ", ".join(parts))
 
 
-def cmd_bench(args) -> None:
-    cfg, out = _prepare(args)
+def cmd_bench(cfg: PipelineConfig, out: str, args) -> None:
     result = headselect.bench_ch(args.m_values, repetitions=args.repetitions,
                                  k=args.k, seed=cfg.seed)
     headselect.write_bench(result, os.path.join(out, BENCH_FILE))
@@ -412,55 +394,34 @@ def build_parser() -> _Parser:
                      description="deterministic UAV clustering pipeline")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("mobility", parents=[common],
-                       help="generate a random-waypoint trace")
-    p.set_defaults(func=cmd_mobility)
+    def stage(name, func, help_text, *paths):
+        """A subcommand running func, with each of paths a required flag."""
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for flag in paths:
+            p.add_argument(flag, required=True)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("train", parents=[common],
-                       help="train position predictors on a trace")
-    p.add_argument("--trace", required=True)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("predict", parents=[common],
-                       help="predict station positions at the end of the trace")
-    p.add_argument("--trace", required=True)
-    p.add_argument("--model-x", required=True)
-    p.add_argument("--model-y", required=True)
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("cluster", parents=[common],
-                       help="cluster predicted positions")
-    p.add_argument("--predictions", required=True)
-    p.set_defaults(func=cmd_cluster)
-
-    p = sub.add_parser("heads", parents=[common],
-                       help="elect a head per cluster")
-    p.add_argument("--clusters", required=True)
-    p.add_argument("--predictions", required=True)
-    p.set_defaults(func=cmd_heads)
-
-    p = sub.add_parser("run", parents=[common],
-                       help="simulate packet delivery for one scenario")
+    stage("mobility", cmd_mobility, "generate a random-waypoint trace")
+    stage("train", cmd_train, "train position predictors on a trace", "--trace")
+    stage("predict", cmd_predict, "predict station positions at the end of the trace",
+          "--trace", "--model-x", "--model-y")
+    stage("cluster", cmd_cluster, "cluster predicted positions", "--predictions")
+    stage("heads", cmd_heads, "elect a head per cluster", "--clusters", "--predictions")
+    # --trace follows the scenario flags, so run's usage line keeps its order.
+    p = stage("run", cmd_run, "simulate packet delivery for one scenario")
     p.add_argument("--mode", required=True, choices=netsim.MODES)
     p.add_argument("--clustering", required=True, choices=["on", "off"])
     p.add_argument("--trace", required=True)
     p.add_argument("--clusters")
     p.add_argument("--heads")
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("compare", parents=[common],
-                       help="compare 2-4 run reports")
+    p = stage("compare", cmd_compare, "compare 2-4 run reports")
     p.add_argument("--reports", required=True, nargs="+")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("bench", parents=[common],
-                       help="benchmark head-selection scaling")
+    p = stage("bench", cmd_bench, "benchmark head-selection scaling")
     p.add_argument("--m-values", type=int, nargs="+",
                    default=[128, 256, 512, 1024, 2048, 4096])
     p.add_argument("--repetitions", type=int, default=5)
     p.add_argument("--k", type=int, default=16)
-    p.set_defaults(func=cmd_bench)
-
     return parser
 
 
@@ -468,7 +429,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        cfg = load_config(args.config) if args.config else PipelineConfig()
+        if args.seed is not None:
+            cfg = cfg.with_seed(args.seed).validate()
+        os.makedirs(args.out, exist_ok=True)
+        save_config(cfg, os.path.join(args.out, ECHO_FILE))
+        args.func(cfg, args.out, args)
     except _UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 1

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ClusteringError
-from .ioutil import atomic_write_json, json_object, load_json
+from .ioutil import (atomic_write_json, json_bool, json_float, json_int, json_ints,
+                     json_numbers, json_object, load_json)
 
 DEFAULT_RESTARTS = 10
 MAX_ITERS = 100
@@ -299,15 +300,18 @@ def write_clusters(assignment: ClusterAssignment, path: str) -> None:
 def read_clusters(path: str) -> ClusterAssignment:
     try:
         raw = load_json(path)
-        ids = sorted(int(s) for s in json_object(raw, "assignment"))
-        labels = np.array([raw["assignment"][str(sid)] for sid in ids], dtype=np.intp)
-        centroids = np.array(raw["centroids"], dtype=float)
-        k = int(raw["k"])
+        assignment = json_object(raw, "assignment")
+        ids = sorted(int(s) for s in assignment)
+        labels = np.array(json_ints([assignment[str(sid)] for sid in ids], "label"),
+                          dtype=np.intp)
+        centroids = np.array(json_numbers(raw["centroids"], "centroids"), dtype=float)
+        k = json_int(raw["k"], "k")
         result = ClusterAssignment(
             k=k, station_ids=ids, labels=labels, centroids=centroids,
-            wcss=float(raw["wcss"]),
-            wcss_curve=[(int(k_), float(w)) for k_, w in raw["wcss_curve"]],
-            no_knee=bool(raw["no_knee"]))
+            wcss=json_float(raw["wcss"], "wcss"),
+            wcss_curve=[(json_int(k_, "wcss_curve k"), json_float(w, "wcss_curve wcss"))
+                        for k_, w in raw["wcss_curve"]],
+            no_knee=json_bool(raw["no_knee"], "no_knee"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ClusteringError(f"malformed clusters file {path}: {exc}") from exc
     if len(set(ids)) != len(ids):
@@ -320,6 +324,9 @@ def read_clusters(path: str) -> ClusterAssignment:
         raise ClusteringError(f"clusters file {path}: centroid count != k")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ClusteringError(f"clusters file {path}: label out of range")
+    if np.unique(labels).size != k:
+        raise ClusteringError(f"clusters file {path}: labels do not use every cluster "
+                              f"0..{k - 1}")
     # As _curve writes it: k = 1, 2, ... and prefix minima of the WCSS.
     curve_wcss = np.array([w for _, w in result.wcss_curve])
     if [k_ for k_, _ in result.wcss_curve] != list(range(1, curve_wcss.size + 1)):

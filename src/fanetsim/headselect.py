@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BenchmarkError, SelectionError
-from .ioutil import atomic_write_json, atomic_write_text, json_object, load_json
+from .ioutil import (atomic_write_json, atomic_write_text, json_int, json_ints, json_numbers,
+                     json_object, load_json)
 from .spatial import KDTree
 
 PATH_LOSS_EXPONENT = 2.0
@@ -398,9 +399,10 @@ def read_heads(path: str) -> HeadSelection:
         heads = {}
         for c_str, entry in json_object(raw, "clusters").items():
             c = int(c_str)
-            heads[c] = ClusterHead(cluster=c, head_id=int(entry["head_id"]),
-                                   member_ids=[int(s) for s in entry["member_ids"]],
-                                   scores=[float(s) for s in entry["scores"]])
+            heads[c] = ClusterHead(
+                cluster=c, head_id=json_int(entry["head_id"], "head_id"),
+                member_ids=json_ints(entry["member_ids"], "member_ids"),
+                scores=[float(s) for s in json_numbers(entry["scores"], "scores")])
     except (KeyError, TypeError, ValueError) as exc:
         raise SelectionError(f"malformed heads file {path}: {exc}") from exc
     if len(heads) != len(raw["clusters"]):

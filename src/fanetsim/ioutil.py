@@ -55,6 +55,50 @@ def load_json(path: str):
         return json.load(fh)
 
 
+# The json_* checks below raise TypeError naming `what`, so a reader's
+# "malformed ... file" handler names the file and the field. json.load reads
+# true as a bool, 1 as an int and 1.0 as a float, and these keep them apart:
+# a float or bool never reads as an integer, nor a string as a number.
+
+def json_int(value, what: str) -> int:
+    """value, which must be a JSON integer (not a bool, float or string)."""
+    if type(value) is not int:
+        raise TypeError(f"{what} {value!r} is not an integer")
+    return value
+
+
+def json_float(value, what: str) -> float:
+    """value, which must be a JSON number (not a bool or string), as a float."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{what} {value!r} is not a number")
+    return float(value)
+
+
+def json_bool(value, what: str) -> bool:
+    """value, which must be JSON true or false."""
+    if type(value) is not bool:
+        raise TypeError(f"{what} {value!r} is not true or false")
+    return value
+
+
+def json_ints(value, what: str) -> list:
+    """value, which must be a JSON list of integers."""
+    if type(value) is not list:
+        raise TypeError(f"{what} is not a JSON list")
+    for v in value:
+        json_int(v, what)
+    return value
+
+
+def json_numbers(value, what: str) -> list:
+    """value, which must be a JSON list of numbers, or of lists of them."""
+    if type(value) is not list:
+        raise TypeError(f"{what} is not a JSON list")
+    for v in np.array(value, dtype=object).flat:
+        json_float(v, what)
+    return value
+
+
 def json_object(raw, key: str) -> dict:
     """raw[key], which must be a JSON object; raises TypeError naming the key."""
     value = raw[key]

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MetricsError
-from .ioutil import atomic_write_json, atomic_write_text, json_object, load_json
+from .ioutil import (atomic_write_json, atomic_write_text, json_bool, json_float, json_object,
+                     load_json)
 from .netsim import DELIVERED, MODES
 
 METRIC_KEYS = ("delay_ms", "jitter_ms", "throughput_bps")
@@ -180,16 +181,18 @@ def read_report(json_path: str) -> RunReport:
         for s in stations.values():
             if not all(type(n) is int for n in (s.delivered, s.dropped, s.delivered_bytes)):
                 raise ValueError(f"station {s.station_id} counts are not all whole numbers")
-        mode, clustering = raw["mode"], raw["clustering"]
+            for key in METRIC_KEYS:
+                if getattr(s, key) is not None:
+                    json_float(getattr(s, key), f"station {s.station_id} {key}")
+        mode = raw["mode"]
         if mode not in MODES:
             raise ValueError(f"mode {mode!r} is not one of {MODES}")
-        if type(clustering) is not bool:
-            raise ValueError(f"clustering {clustering!r} is not true or false")
+        clustering = json_bool(raw["clustering"], "clustering")
         aggregates = aggregate_stats(stations)
         if raw["aggregates"] != aggregates:
             raise ValueError("aggregates differ from those of the stations")
         return RunReport(
-            duration=float(raw["duration"]), stations=stations,
+            duration=json_float(raw["duration"], "duration"), stations=stations,
             aggregates=aggregates, mode=mode, clustering=clustering)
     except (KeyError, TypeError, ValueError) as exc:
         raise MetricsError(f"malformed report file {json_path}: {exc}") from exc

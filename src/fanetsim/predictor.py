@@ -23,7 +23,8 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import DatasetError, PredictionError, TrainingError
-from .ioutil import atomic_write_json, atomic_write_text, load_json
+from .ioutil import (atomic_write_json, atomic_write_text, json_float, json_int, json_ints,
+                     json_numbers, load_json)
 from .mobility import Trace
 
 MIN_SPLIT_GAIN = 1e-12
@@ -529,14 +530,34 @@ def save_model(model: BoostedModel, path: str) -> None:
     atomic_write_json(path, payload)
 
 
+def _typed(cls, raw: dict, what: str) -> object:
+    """cls(**raw) once raw holds every int or float field of cls with that
+    JSON type; a missing field would otherwise take its default."""
+    check = {"int": json_int, "float": json_float}
+    for f in fields(cls):
+        check[f.type](raw[f.name], f"{what} {f.name}")
+    return cls(**raw)
+
+
+def _typed_tree(raw: dict, what: str) -> dict:
+    """raw, once its node links are JSON integers and its thresholds and
+    values JSON numbers."""
+    for name in ("feature", "left", "right"):
+        json_ints(raw[name], f"{what} {name}")
+    for name in ("threshold", "value"):
+        json_numbers(raw[name], f"{what} {name}")
+    return raw
+
+
 def load_model(path: str) -> BoostedModel:
     try:
         raw = load_json(path)
-        params = BoostParams(**raw["params"])
+        params = _typed(BoostParams, raw["params"], "params")
         window = None
         if raw["window"] is not None:
-            window = FeatureWindow(**raw["window"])
-        trees = [RegressionTree(**t) for t in raw["trees"]]
+            window = _typed(FeatureWindow, raw["window"], "window")
+        trees = [RegressionTree(**_typed_tree(t, f"tree {k}"))
+                 for k, t in enumerate(raw["trees"])]
         schema = [str(s) for s in raw["feature_schema"]]
         for k, tree in enumerate(trees):
             tree.check(len(schema), f"tree {k}")
@@ -545,12 +566,13 @@ def load_model(path: str) -> BoostedModel:
             raise ValueError(f"offset_feature {offset!r} is not in feature_schema")
         return BoostedModel(
             target=str(raw["target"]), params=params,
-            base_prediction=float(raw["base_prediction"]),
+            base_prediction=json_float(raw["base_prediction"], "base_prediction"),
             feature_schema=schema, trees=trees, window=window,
-            train_rmse=[float(v) for v in raw["train_rmse"]],
-            val_rmse=[float(v) for v in raw["val_rmse"]],
+            train_rmse=[float(v) for v in json_numbers(raw["train_rmse"], "train_rmse")],
+            val_rmse=[float(v) for v in json_numbers(raw["val_rmse"], "val_rmse")],
             offset_feature=offset)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, DatasetError,
+            TrainingError) as exc:
         raise PredictionError(f"malformed model file {path}: {exc}") from exc
 
 

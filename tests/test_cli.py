@@ -5,6 +5,7 @@ then assert on the artifacts it left behind. Keeping the trace short makes
 the whole file cheap enough to run on every pytest invocation.
 """
 
+import argparse
 import collections
 import dataclasses
 import filecmp
@@ -515,6 +516,24 @@ def _huge_label(payload):
     payload["assignment"][next(iter(payload["assignment"]))] = 2**70
 
 
+def _fractional_label(payload):
+    first = next(iter(payload["assignment"]))
+    payload["assignment"][first] += 0.7  # used to read as the integer label
+
+
+def _empty_cluster(payload):
+    # used to reach `heads` and `run` as "cluster 2 is empty", naming no file
+    last = payload["k"] - 1
+    for sid, label in payload["assignment"].items():
+        if label == last:
+            payload["assignment"][sid] = 0
+
+
+def _string_delay(payload):
+    # used to load and end `compare` in a TypeError traceback
+    next(iter(payload["stations"].values()))["delay_ms"] = "1.23"
+
+
 @pytest.mark.parametrize("name,change,message", [
     ("heads.json", lambda p: p.update(clusters=[]),
      "malformed heads file {bad}: 'clusters' is not a JSON object"),
@@ -539,10 +558,39 @@ def _huge_label(payload):
     ("cfg.ini", lambda b: b + b"\xff\n", "cannot parse config {bad}: 'utf-8' codec"),
     ("model_x.json", _huge_child, "malformed model file {bad}: "),
     ("clusters.json", _huge_label, "malformed clusters file {bad}: "),
+    # Each of the rest used to load as some other value.
+    ("clusters.json", lambda p: p.update(no_knee="false"),
+     "malformed clusters file {bad}: no_knee 'false' is not true or false"),
+    ("clusters.json", _fractional_label,
+     "malformed clusters file {bad}: label … .7 is not an integer"),
+    ("clusters.json", lambda p: p.update(k=str(p["k"])),
+     "malformed clusters file {bad}: k ' … ' is not an integer"),
+    ("clusters.json", _empty_cluster,
+     "clusters file {bad}: labels do not use every cluster 0.."),
+    ("heads.json", lambda p: p["clusters"]["0"].update(head_id=p["clusters"]["0"]["head_id"] + .9),
+     "malformed heads file {bad}: head_id … .9 is not an integer"),
+    ("heads.json", lambda p: p["clusters"]["0"].update(
+        member_ids=[str(s) for s in p["clusters"]["0"]["member_ids"]]),
+     "malformed heads file {bad}: member_ids ' … ' is not an integer"),
+    ("heads.json", lambda p: p["clusters"]["0"]["scores"].__setitem__(0, "nan"),
+     "malformed heads file {bad}: scores 'nan' is not a number"),
+    ("model_x.json", lambda p: p["trees"][1]["feature"].__setitem__(0, 0.5),
+     "malformed model file {bad}: tree 1 feature 0.5 is not an integer"),
+    ("model_x.json", lambda p: p["params"].update(max_depth=6.5),
+     "malformed model file {bad}: params max_depth 6.5 is not an integer"),
+    ("model_x.json", lambda p: p["params"].update(max_depth=0),
+     "malformed model file {bad}: max_depth must be >= 1, got 0"),
+    ("model_x.json", lambda p: p["params"].pop("max_depth"),
+     "malformed model file {bad}: 'max_depth'"),
+    ("report.json", _string_delay,
+     "malformed report file {bad}: station … delay_ms '1.23' is not a number"),
 ], ids=["heads_list", "assignment_list", "rising_curve", "skipped_k", "stations_list",
         "aggregates_missing", "old_model_params", "centroids_3d", "short_scores",
         "header_only_predictions", "non_utf8_predictions", "non_utf8_config",
-        "child_beyond_int32", "label_beyond_int64"])
+        "child_beyond_int32", "label_beyond_int64", "string_no_knee", "fractional_label",
+        "string_k", "empty_cluster", "fractional_head_id", "string_member_ids",
+        "string_score", "fractional_feature", "fractional_max_depth", "zero_max_depth",
+        "missing_max_depth", "string_delay"])
 def test_malformed_artifact_exits_2(chain, tmp_path, capsys, name, change, message):
     # Each of these used to end in a traceback or load without complaint.
     # A JSON artifact is changed as a payload, a text file as bytes.
@@ -596,6 +644,60 @@ def test_usage_errors_exit_1():
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 1, argv
+
+
+# Each subcommand's help line and flags, flag -> (required, nargs, choices,
+# default); every one also takes --config, --seed and --out.
+_PATH = (True, None, None, None)
+_COMMON_FLAGS = {"--config": (False, None, None, None), "--seed": (False, None, None, None),
+                 "--out": (False, None, None, "out")}
+_PARSER_TABLE = {
+    "mobility": ("generate a random-waypoint trace", {}),
+    "train": ("train position predictors on a trace", {"--trace": _PATH}),
+    "predict": ("predict station positions at the end of the trace",
+                {"--trace": _PATH, "--model-x": _PATH, "--model-y": _PATH}),
+    "cluster": ("cluster predicted positions", {"--predictions": _PATH}),
+    "heads": ("elect a head per cluster", {"--clusters": _PATH, "--predictions": _PATH}),
+    "run": ("simulate packet delivery for one scenario", {
+        "--trace": _PATH,
+        "--mode": (True, None, ("centralized", "decentralized"), None),
+        "--clustering": (True, None, ("on", "off"), None),
+        "--clusters": (False, None, None, None), "--heads": (False, None, None, None)}),
+    "compare": ("compare 2-4 run reports", {"--reports": (True, "+", None, None)}),
+    "bench": ("benchmark head-selection scaling", {
+        "--m-values": (False, "+", None, [128, 256, 512, 1024, 2048, 4096]),
+        "--repetitions": (False, None, None, 5), "--k": (False, None, None, 16)}),
+}
+
+
+def test_parser_declares_each_subcommand_as_pinned(tmp_path, capsys):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    assert list(sub.choices) == list(_PARSER_TABLE)
+    for stage, (help_text, flags) in _PARSER_TABLE.items():
+        declared = {a.option_strings[0]: (a.required, a.nargs,
+                                          a.choices and tuple(a.choices), a.default)
+                    for a in sub.choices[stage]._actions if a.dest != "help"}
+        assert declared == {**_COMMON_FLAGS, **flags}, stage
+        assert helps[stage] == help_text, stage
+        with pytest.raises(SystemExit) as exc:
+            cli.main([stage, "--help"])
+        assert exc.value.code == 0, stage
+        assert capsys.readouterr().out.startswith(f"usage: fanetsim {stage} "), stage
+    # A stage whose input is missing has already echoed its config.
+    nope = str(tmp_path / "nope")
+    for stage, flags in (("train", ["--trace", nope]),
+                         ("predict", ["--trace", nope, "--model-x", nope, "--model-y", nope]),
+                         ("cluster", ["--predictions", nope]),
+                         ("heads", ["--clusters", nope, "--predictions", nope]),
+                         ("run", ["--mode", "centralized", "--clustering", "off",
+                                  "--trace", nope]),
+                         ("compare", ["--reports", nope, nope])):
+        out = tmp_path / stage
+        assert cli.main([stage, "--seed", "7", "--out", str(out), *flags]) == 2, stage
+        assert "missing " in capsys.readouterr().err
+        assert load_config(str(out / "config_echo.ini")) == PipelineConfig(seed=7), stage
 
 
 def test_bad_config_value_exits_2(tmp_path, capsys):

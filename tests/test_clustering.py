@@ -237,9 +237,11 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def assignments(draw):
-    k = draw(st.integers(1, 6))
     ids = sorted(draw(st.sets(st.integers(-10**12, 10**12), min_size=1, max_size=12)))
-    labels = draw(st.lists(st.integers(0, k - 1), min_size=len(ids), max_size=len(ids)))
+    k = draw(st.integers(1, min(6, len(ids))))
+    # every cluster 0..k-1 holds a station, as read_clusters requires
+    rest = draw(st.lists(st.integers(0, k - 1), min_size=len(ids) - k, max_size=len(ids) - k))
+    labels = draw(st.permutations(list(range(k)) + rest))
     # as _curve writes it: k = 1, 2, ... with non-increasing finite WCSS
     curve = list(enumerate(sorted(draw(st.lists(finite, max_size=10)), reverse=True),
                            start=1))
@@ -274,6 +276,7 @@ def test_clusters_roundtrip_property(tmp_path_factory, assignment):
     ("skipped_k", "wcss_curve k does not run 1, 2, ..."),
     ("three_columns", "centroids are not (x, y) pairs"),
     ("flat_centroids", "centroids are not (x, y) pairs"),
+    ("empty_cluster", "labels do not use every cluster 0..1"),
 ])
 def test_read_clusters_rejects_malformed_payload(tmp_path, case, message):
     path, payload = _clusters_payload(tmp_path)
@@ -297,6 +300,8 @@ def test_read_clusters_rejects_malformed_payload(tmp_path, case, message):
             c.append(0.0)
     elif case == "flat_centroids":
         payload["centroids"] = [c[0] for c in payload["centroids"]]
+    elif case == "empty_cluster":
+        payload["assignment"] = dict.fromkeys(payload["assignment"], 0)
     else:
         payload["wcss_curve"] = [[1, 9.0], [3, 8.0]]
     path.write_text(json.dumps(payload))
