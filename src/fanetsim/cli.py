@@ -431,7 +431,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else PipelineConfig()
         if args.seed is not None:
-            cfg = cfg.with_seed(args.seed).validate()
+            cfg = cfg.with_seed(args.seed)
         os.makedirs(args.out, exist_ok=True)
         save_config(cfg, os.path.join(args.out, ECHO_FILE))
         args.func(cfg, args.out, args)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ClusteringError
 from .ioutil import (atomic_write_json, json_bool, json_float, json_int, json_ints,
-                     json_numbers, json_object, load_json)
+                     json_id_object, json_numbers, load_json)
 
 DEFAULT_RESTARTS = 10
 MAX_ITERS = 100
@@ -248,16 +248,16 @@ def knee_point(curve: list[tuple[int, float]]) -> tuple[int, bool]:
     return int(ks[best]), False
 
 
-def create_clusters(positions: dict[int, tuple[float, float]],
-                    k_max: int | None = None, seed: int = 0,
+def create_clusters(positions: dict[int, tuple[float, float]], seed: int = 0,
                     restarts: int = DEFAULT_RESTARTS,
                     fixed_k: int | None = None) -> ClusterAssignment:
     """Full selection pipeline over a station_id -> (x, y) map.
 
-    Without fixed_k, k is the knee of the WCSS curve over k = 1..k_max, and
-    the curve is recorded. With fixed_k, only that k is fitted and the curve
-    is left empty; each k's restarts are seeded by (seed, k, restart), so the
-    fit is the one the curve would have held.
+    Without fixed_k, k is the knee of the WCSS curve over k = 1..min(10, n - 1),
+    capped at the number of distinct points, and the curve is recorded. With
+    fixed_k, only that k is fitted and the curve is left empty; each k's
+    restarts are seeded by (seed, k, restart), so the fit is the one the curve
+    would have held.
     """
     if not positions:
         raise ClusteringError("no positions given")
@@ -272,7 +272,7 @@ def create_clusters(positions: dict[int, tuple[float, float]],
                 f"fixed_k {fixed_k} not in [1, {distinct}] for this data")
         best = _best_kmeans(points, fixed_k, seed, restarts)
     else:
-        k_max = max(1, min(min(10, len(ids) - 1) if k_max is None else k_max, distinct))
+        k_max = max(1, min(10, len(ids) - 1, distinct))
         fits = [_best_kmeans(points, k, seed, restarts) for k in range(1, k_max + 1)]
         curve = _curve(fits)
         # a curve too short for a knee falls back to k = 1
@@ -300,9 +300,9 @@ def write_clusters(assignment: ClusterAssignment, path: str) -> None:
 def read_clusters(path: str) -> ClusterAssignment:
     try:
         raw = load_json(path)
-        assignment = json_object(raw, "assignment")
-        ids = sorted(int(s) for s in assignment)
-        labels = np.array(json_ints([assignment[str(sid)] for sid in ids], "label"),
+        assignment = json_id_object(raw, "assignment")
+        ids = sorted(assignment)
+        labels = np.array(json_ints([assignment[sid] for sid in ids], "label"),
                           dtype=np.intp)
         centroids = np.array(json_numbers(raw["centroids"], "centroids"), dtype=float)
         k = json_int(raw["k"], "k")
@@ -314,8 +314,6 @@ def read_clusters(path: str) -> ClusterAssignment:
             no_knee=json_bool(raw["no_knee"], "no_knee"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ClusteringError(f"malformed clusters file {path}: {exc}") from exc
-    if len(set(ids)) != len(ids):
-        raise ClusteringError(f"clusters file {path}: station ids collide as integers")
     if not (np.isfinite(centroids).all() and np.isfinite(result.wcss)):
         raise ClusteringError(f"clusters file {path}: non-finite centroid or wcss")
     if centroids.ndim != 2 or centroids.shape[1] != 2:

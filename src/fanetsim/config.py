@@ -15,74 +15,75 @@ import math
 import os
 from dataclasses import dataclass, fields, replace
 
+from .clustering import DEFAULT_RESTARTS
 from .errors import ConfigError, FanetSimError
 from .ioutil import (CLUSTER_STREAM, MOBILITY_STREAM, RADIO_STREAM,
                      TRAFFIC_STREAM, atomic_write_text, substream_seed)
 from .mobility import ArenaConfig
 from .netsim import SimConfig, TopologyConfig
-from .predictor import BoostParams
+from .predictor import TRAIN_FRACTION, BoostParams, FeatureWindow
 from .traffic import TrafficParams
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Every setting the INI file holds. A flat field defaults to the stage
+    field it feeds, and a config that breaks a rule cannot be built."""
     seed: int = 0
     sim: SimConfig = SimConfig()
-    pause_time: float = 0.0
-    sample_interval: float = 1.0
-    duration: float = 3600.0
-    max_depth: int = 6
-    learning_rate: float = 0.1
-    num_rounds: int = 100
-    early_stop_patience: int = 10
-    min_samples_leaf: int = 2
-    history_length: int = 5
-    horizon: int = 1
-    train_fraction: float = 0.8
-    restarts: int = 10
+    pause_time: float = ArenaConfig.pause_time
+    sample_interval: float = ArenaConfig.sample_interval
+    duration: float = ArenaConfig.duration
+    max_depth: int = BoostParams.max_depth
+    learning_rate: float = BoostParams.learning_rate
+    num_rounds: int = BoostParams.num_rounds
+    early_stop_patience: int = BoostParams.early_stop_patience
+    min_samples_leaf: int = BoostParams.min_samples_leaf
+    history_length: int = FeatureWindow.history_length
+    horizon: int = FeatureWindow.horizon
+    train_fraction: float = TRAIN_FRACTION
+    restarts: int = DEFAULT_RESTARTS
     fixed_k: int | None = 3
-    min_size: int = 256
-    max_size: int = 2048
-    mean_interarrival: float = 0.030
-    packets_per_station: int = 100
-    link_bitrate: float = 10e6
-    backbone_bitrate: float = 50e6
-    propagation_speed: float = 3e8
-    processing_delay: float = 1e-4
-    queue_capacity: int = 3
+    min_size: int = TrafficParams.min_size
+    max_size: int = TrafficParams.max_size
+    mean_interarrival: float = TrafficParams.mean_interarrival
+    packets_per_station: int = TrafficParams.packets_per_station
+    link_bitrate: float = TopologyConfig.link_bitrate
+    backbone_bitrate: float = TopologyConfig.backbone_bitrate
+    propagation_speed: float = TopologyConfig.propagation_speed
+    processing_delay: float = TopologyConfig.processing_delay
+    queue_capacity: int = TopologyConfig.queue_capacity
+
+    def __post_init__(self):
+        self.validate()
 
     def with_seed(self, seed: int) -> "PipelineConfig":
         return replace(self, seed=seed)
 
+    def _stage(self, cls, **spelled):
+        """A cls holding this config's fields of the same names; `spelled`
+        gives the rest: [simulation] values, renamed or derived ones."""
+        own = {f.name for f in fields(self)}
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls) if f.name in own}
+                   | spelled)
+
     def arena_config(self) -> ArenaConfig:
-        return ArenaConfig(
-            width=self.sim.area_width, height=self.sim.area_height,
+        return self._stage(
+            ArenaConfig, width=self.sim.area_width, height=self.sim.area_height,
             num_stations=self.sim.num_nodes, min_speed=self.sim.min_speed,
-            max_speed=self.sim.max_speed, pause_time=self.pause_time,
-            sample_interval=self.sample_interval, duration=self.duration,
-            seed=substream_seed(self.seed, MOBILITY_STREAM))
+            max_speed=self.sim.max_speed, seed=substream_seed(self.seed, MOBILITY_STREAM))
 
     def boost_params(self) -> BoostParams:
-        return BoostParams(
-            max_depth=self.max_depth, learning_rate=self.learning_rate,
-            num_rounds=self.num_rounds, early_stop_patience=self.early_stop_patience,
-            min_samples_leaf=self.min_samples_leaf)
+        return self._stage(BoostParams)
 
     def traffic_params(self) -> TrafficParams:
-        return TrafficParams(
-            mean_size=self.sim.packet_size, size_sigma=self.sim.packet_size_sigma,
-            min_size=self.min_size, max_size=self.max_size,
-            mean_interarrival=self.mean_interarrival,
-            packets_per_station=self.packets_per_station,
+        return self._stage(
+            TrafficParams, mean_size=self.sim.packet_size, size_sigma=self.sim.packet_size_sigma,
             seed=substream_seed(self.seed, TRAFFIC_STREAM))
 
     def topology_config(self, mode: str, clustering: bool) -> TopologyConfig:
-        return TopologyConfig(
-            mode=mode, clustering=clustering, link_bitrate=self.link_bitrate,
-            backbone_bitrate=self.backbone_bitrate,
-            propagation_speed=self.propagation_speed,
-            processing_delay=self.processing_delay,
-            queue_capacity=self.queue_capacity, radio_range=self.sim.radio_range)
+        return self._stage(TopologyConfig, mode=mode, clustering=clustering,
+                           radio_range=self.sim.radio_range)
 
     def cluster_seed(self) -> int:
         return substream_seed(self.seed, CLUSTER_STREAM)
@@ -121,37 +122,25 @@ def _opt_int(text: str) -> int | None:
     return None if text == "" else int(text)
 
 
-_SIM_TYPES = {
-    "area_width": float, "area_height": float, "num_nodes": int,
-    "radio_range": float, "min_speed": float, "max_speed": float,
-    "min_power": float, "max_power": float, "packet_size": float,
-    "packet_size_sigma": float,
-}
+_PARSERS = {"int": int, "float": float, "int | None": _opt_int}
+_ANNOTATIONS = {f.name: f.type for cls in (SimConfig, PipelineConfig) for f in fields(cls)}
 
-_SCHEMAS: dict[str, dict] = {
-    "pipeline": {"seed": int},
-    "simulation": _SIM_TYPES,
-    "mobility": {"pause_time": float, "sample_interval": float, "duration": float},
-    "predictor": {
-        "max_depth": int, "learning_rate": float, "num_rounds": int,
-        "early_stop_patience": int, "min_samples_leaf": int,
-        "history_length": int, "horizon": int, "train_fraction": float,
-    },
-    "clustering": {"restarts": int, "fixed_k": _opt_int},
-    "traffic": {"min_size": int, "max_size": int, "mean_interarrival": float,
-                "packets_per_station": int},
-    "topology": {"link_bitrate": float, "backbone_bitrate": float,
-                 "propagation_speed": float, "processing_delay": float,
-                 "queue_capacity": int},
+# Each section's keys, in the order save_config writes them.
+_SCHEMAS: dict[str, tuple[str, ...]] = {
+    "pipeline": ("seed",),
+    "simulation": tuple(f.name for f in fields(SimConfig)),
+    "mobility": ("pause_time", "sample_interval", "duration"),
+    "predictor": ("max_depth", "learning_rate", "num_rounds", "early_stop_patience",
+                  "min_samples_leaf", "history_length", "horizon", "train_fraction"),
+    "clustering": ("restarts", "fixed_k"),
+    "traffic": ("min_size", "max_size", "mean_interarrival", "packets_per_station"),
+    "topology": ("link_bitrate", "backbone_bitrate", "propagation_speed",
+                 "processing_delay", "queue_capacity"),
 }
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "" if value is None else str(value)  # a float's str is its repr
 
 
 def save_config(cfg: PipelineConfig, path: str) -> None:
@@ -187,7 +176,7 @@ def load_config(path: str) -> PipelineConfig:
                 problems.append(f"unrecognized key {key!r} in section [{section}]")
                 continue
             try:
-                values[section][key] = schema[key](raw)
+                values[section][key] = _PARSERS[_ANNOTATIONS[key]](raw)
             except ValueError:
                 problems.append(f"bad value for {key!r} in section [{section}]: {raw!r}")
     if problems:
@@ -197,6 +186,6 @@ def load_config(path: str) -> PipelineConfig:
         kwargs: dict = {"sim": SimConfig(**values.pop("simulation", {}))}
         for section_values in values.values():
             kwargs.update(section_values)
-        return PipelineConfig(**kwargs).validate()
+        return PipelineConfig(**kwargs)
     except FanetSimError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

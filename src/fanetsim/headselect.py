@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BenchmarkError, SelectionError
 from .ioutil import (atomic_write_json, atomic_write_text, json_int, json_ints, json_numbers,
-                     json_object, load_json)
+                     json_id_object, load_json)
 from .spatial import KDTree
 
 PATH_LOSS_EXPONENT = 2.0
@@ -86,17 +86,21 @@ class WeightSweep:
     power_sum: np.ndarray
 
 
-def received_power(tx: StationRadio, rx: StationRadio) -> float:
-    """Log-distance path loss, exponent 2, 1 m reference.
+def _path_loss(d: np.ndarray) -> np.ndarray:
+    """Log-distance path loss in dB, exponent 2, 1 m reference, written over
+    the distances d. Distances under the reference clamp to it, so co-located
+    stations see the transmitter's base power unattenuated."""
+    np.maximum(d, REFERENCE_DISTANCE_M, out=d)
+    d /= REFERENCE_DISTANCE_M
+    np.log10(d, out=d)
+    d *= 10.0 * PATH_LOSS_EXPONENT
+    return d
 
-    Distances under the reference clamp to it, so co-located stations see the
-    transmitter's base power unattenuated.
-    """
-    dx = tx.position[0] - rx.position[0]
-    dy = tx.position[1] - rx.position[1]
-    d = math.hypot(dx, dy)
-    d = max(d, REFERENCE_DISTANCE_M)
-    return tx.base_power - 10.0 * PATH_LOSS_EXPONENT * math.log10(d / REFERENCE_DISTANCE_M)
+
+def received_power(tx: StationRadio, rx: StationRadio) -> float:
+    """The power rx receives from tx: tx's base power less the path loss."""
+    d = math.hypot(tx.position[0] - rx.position[0], tx.position[1] - rx.position[1])
+    return tx.base_power - float(_path_loss(np.array([d]))[0])
 
 
 def _pairwise_sums(ids: list[int], pos: np.ndarray, power: np.ndarray) -> PairwiseSums:
@@ -119,11 +123,7 @@ def _pairwise_sums(ids: list[int], pos: np.ndarray, power: np.ndarray) -> Pairwi
         diag[:] = 0.0
         d_sum[lo:hi] = t.sum(axis=1)
         d_range = _fold_offdiag_range(t, diag, d_range)
-        np.maximum(t, REFERENCE_DISTANCE_M, out=t)
-        t /= REFERENCE_DISTANCE_M
-        np.log10(t, out=t)
-        t *= 10.0 * PATH_LOSS_EXPONENT
-        np.subtract(power[lo:hi, None], t, out=t)
+        np.subtract(power[lo:hi, None], _path_loss(t), out=t)
         p_range = _fold_offdiag_range(t, diag, p_range)
         diag[:] = 0.0
         p_sum[lo:hi] = t.sum(axis=1)
@@ -268,15 +268,11 @@ def _knn_best(pos: np.ndarray, power: np.ndarray, k: int) -> int:
     """Index of the best candidate when each one is scored against its k
     nearest neighbors only; the first of equal scores wins."""
     tree = KDTree(pos)
-    scores = []
-    for i in range(pos.shape[0]):
-        d_sum = p_sum = 0.0
-        for dist, _ in tree.query(pos[i], k, exclude=i):
-            d_sum += dist
-            p_sum += power[i] - 10.0 * PATH_LOSS_EXPONENT * math.log10(
-                max(dist, REFERENCE_DISTANCE_M) / REFERENCE_DISTANCE_M)
-        scores.append(head_objective(d_sum, p_sum) / k)
-    return int(np.argmax(scores))
+    dist = np.array([[d for d, _ in tree.query(pos[i], k, exclude=i)]
+                     for i in range(pos.shape[0])])
+    d_sum = dist.sum(axis=1)
+    p_sum = np.subtract(power[:, None], _path_loss(dist), out=dist).sum(axis=1)
+    return int(np.argmax(head_objective(d_sum, p_sum) / k))
 
 
 # --- scaling benchmark ---------------------------------------------------
@@ -397,16 +393,13 @@ def read_heads(path: str) -> HeadSelection:
     try:
         raw = load_json(path)
         heads = {}
-        for c_str, entry in json_object(raw, "clusters").items():
-            c = int(c_str)
+        for c, entry in json_id_object(raw, "clusters").items():
             heads[c] = ClusterHead(
                 cluster=c, head_id=json_int(entry["head_id"], "head_id"),
                 member_ids=json_ints(entry["member_ids"], "member_ids"),
                 scores=[float(s) for s in json_numbers(entry["scores"], "scores")])
     except (KeyError, TypeError, ValueError) as exc:
         raise SelectionError(f"malformed heads file {path}: {exc}") from exc
-    if len(heads) != len(raw["clusters"]):
-        raise SelectionError(f"heads file {path}: cluster keys collide as integers")
     for ch in heads.values():
         if ch.head_id not in ch.member_ids:
             raise SelectionError(

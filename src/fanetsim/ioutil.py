@@ -81,6 +81,13 @@ def json_bool(value, what: str) -> bool:
     return value
 
 
+def json_str(value, what: str) -> str:
+    """value, which must be a JSON string (not a number)."""
+    if type(value) is not str:
+        raise TypeError(f"{what} {value!r} is not a string")
+    return value
+
+
 def json_ints(value, what: str) -> list:
     """value, which must be a JSON list of integers."""
     if type(value) is not list:
@@ -99,9 +106,14 @@ def json_numbers(value, what: str) -> list:
     return value
 
 
-def json_object(raw, key: str) -> dict:
-    """raw[key], which must be a JSON object; raises TypeError naming the key."""
+def json_id_object(raw, key: str) -> dict:
+    """raw[key], which must be a JSON object keyed by ids, with int keys. Each
+    key must be a non-negative decimal as str(int) writes it, so no two keys
+    read as one id; a fault raises naming the key."""
     value = raw[key]
     if not isinstance(value, dict):
         raise TypeError(f"{key!r} is not a JSON object")
-    return value
+    for k in value:
+        if not (k.isascii() and k.isdigit() and str(int(k)) == k):
+            raise ValueError(f"{key} key {k!r} is not an id as written")
+    return {int(k): v for k, v in value.items()}

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MetricsError
-from .ioutil import (atomic_write_json, atomic_write_text, json_bool, json_float, json_object,
-                     load_json)
+from .ioutil import (atomic_write_json, atomic_write_text, json_bool, json_float,
+                     json_id_object, load_json)
 from .netsim import DELIVERED, MODES
 
 METRIC_KEYS = ("delay_ms", "jitter_ms", "throughput_bps")
@@ -176,8 +176,8 @@ def write_report(report: RunReport, csv_path: str, json_path: str) -> None:
 def read_report(json_path: str) -> RunReport:
     try:
         raw = load_json(json_path)
-        stations = {int(sid): StationStats(int(sid), **{k: s[k] for k in _STATS_KEYS})
-                    for sid, s in json_object(raw, "stations").items()}
+        stations = {sid: StationStats(sid, **{k: s[k] for k in _STATS_KEYS})
+                    for sid, s in json_id_object(raw, "stations").items()}
         for s in stations.values():
             if not all(type(n) is int for n in (s.delivered, s.dropped, s.delivered_bytes)):
                 raise ValueError(f"station {s.station_id} counts are not all whole numbers")

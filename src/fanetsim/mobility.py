@@ -219,6 +219,8 @@ def _read_lines(path: str, config: ArenaConfig | None) -> Trace:
                     raise TraceParseError(path, f"expected 4 columns, got {len(cells)}",
                                           line=lineno)
                 try:
+                    if not row.isascii() or "_" in row:
+                        raise ValueError(f"cells must be ASCII without '_': {row!r}")
                     for column, convert, cell in zip(columns, (float, int, float, float), cells):
                         column.append(convert(cell))
                 except ValueError as exc:

@@ -59,8 +59,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SimulationError, TopologyError
+from .headselect import MAX_BASE_POWER_DBM, MIN_BASE_POWER_DBM
 from .ioutil import atomic_open
-from .traffic import as_workload
+from .mobility import ArenaConfig
+from .traffic import TrafficParams, as_workload
 
 MODES = ("centralized", "decentralized")
 LIGHT_SPEED_M_S = 3.0e8
@@ -109,16 +111,16 @@ class TopologyConfig:
 @dataclass(frozen=True)
 class SimConfig:
     """Scenario parameter sheet, echoed into config_echo.ini (not into reports)."""
-    area_width: float = 500.0
-    area_height: float = 500.0
-    num_nodes: int = 25
-    radio_range: float = 500.0
-    min_speed: float = 0.0
-    max_speed: float = 15.0
-    min_power: float = 60.0
-    max_power: float = 80.0
-    packet_size: float = 1024.0
-    packet_size_sigma: float = 256.0
+    area_width: float = ArenaConfig.width
+    area_height: float = ArenaConfig.height
+    num_nodes: int = ArenaConfig.num_stations
+    radio_range: float = TopologyConfig.radio_range
+    min_speed: float = ArenaConfig.min_speed
+    max_speed: float = ArenaConfig.max_speed
+    min_power: float = MIN_BASE_POWER_DBM
+    max_power: float = MAX_BASE_POWER_DBM
+    packet_size: float = TrafficParams.mean_size
+    packet_size_sigma: float = TrafficParams.size_sigma
 
     def __post_init__(self):
         if self.num_nodes < 1:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DatasetError, PredictionError, TrainingError
 from .ioutil import (atomic_write_json, atomic_write_text, json_float, json_int, json_ints,
-                     json_numbers, load_json)
+                     json_numbers, json_str, load_json)
 from .mobility import Trace
 
 MIN_SPLIT_GAIN = 1e-12
@@ -32,6 +32,7 @@ MIN_SPLIT_GAIN = 1e-12
 # 4096 bins no lower RMSE at over twice the training time.
 MAX_BINS = 1024
 VALIDATION_FRACTION = 0.1
+TRAIN_FRACTION = 0.8
 
 
 @dataclass(frozen=True)
@@ -188,8 +189,9 @@ def _feature_rows(positions: np.ndarray, anchors: np.ndarray,
     return np.concatenate(cols, axis=-1).reshape(-1, 2 * h + 2)
 
 
-def build_dataset(trace: Trace, h: int = 5, horizon: int = 1,
-                  train_fraction: float = 0.8) -> Dataset:
+def build_dataset(trace: Trace, h: int = FeatureWindow.history_length,
+                  horizon: int = FeatureWindow.horizon,
+                  train_fraction: float = TRAIN_FRACTION) -> Dataset:
     window = FeatureWindow(history_length=h, horizon=horizon)
     if not 0 < train_fraction < 1:
         raise DatasetError(f"train_fraction must be in (0, 1), got {train_fraction}")
@@ -558,14 +560,14 @@ def load_model(path: str) -> BoostedModel:
             window = _typed(FeatureWindow, raw["window"], "window")
         trees = [RegressionTree(**_typed_tree(t, f"tree {k}"))
                  for k, t in enumerate(raw["trees"])]
-        schema = [str(s) for s in raw["feature_schema"]]
+        schema = [json_str(s, "feature_schema entry") for s in raw["feature_schema"]]
         for k, tree in enumerate(trees):
             tree.check(len(schema), f"tree {k}")
         offset = raw["offset_feature"]
         if offset is not None and offset not in schema:
             raise ValueError(f"offset_feature {offset!r} is not in feature_schema")
         return BoostedModel(
-            target=str(raw["target"]), params=params,
+            target=json_str(raw["target"], "target"), params=params,
             base_prediction=json_float(raw["base_prediction"], "base_prediction"),
             feature_schema=schema, trees=trees, window=window,
             train_rmse=[float(v) for v in json_numbers(raw["train_rmse"], "train_rmse")],
@@ -599,6 +601,8 @@ def read_predictions(path: str) -> dict[int, tuple[float, float]]:
         if not raw:
             continue
         try:
+            if not raw.isascii() or "_" in raw:
+                raise ValueError("cells must be ASCII without '_'")
             sid, x, y = raw.split(",")
             sid, x, y = int(sid), float(x), float(y)
         except ValueError as exc:

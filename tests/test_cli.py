@@ -529,6 +529,24 @@ def _empty_cluster(payload):
             payload["assignment"][sid] = 0
 
 
+def _spaced_station(payload):
+    # used to load as 25 stations, the copy folding into station 0
+    payload["stations"][" 0"] = payload["stations"]["0"]
+
+
+def _plus_cluster(payload):
+    # used to load as cluster 0
+    payload["clusters"]["+0"] = payload["clusters"].pop("0")
+
+
+def _underscored_row(data):
+    # used to load as station 10 at (5.0, 10.5)
+    lines = data.split(b"\n")
+    assert lines[11].startswith(b"10,")
+    lines[11] = b"1_0,5.0,1_0.5"
+    return b"\n".join(lines)
+
+
 def _string_delay(payload):
     # used to load and end `compare` in a TypeError traceback
     next(iter(payload["stations"].values()))["delay_ms"] = "1.23"
@@ -584,13 +602,24 @@ def _string_delay(payload):
      "malformed model file {bad}: 'max_depth'"),
     ("report.json", _string_delay,
      "malformed report file {bad}: station … delay_ms '1.23' is not a number"),
+    ("report.json", _spaced_station,
+     "malformed report file {bad}: stations key ' 0' is not an id as written"),
+    ("heads.json", _plus_cluster,
+     "malformed heads file {bad}: clusters key '+0' is not an id as written"),
+    ("model_x.json", lambda p: p.update(target=5),
+     "malformed model file {bad}: target 5 is not a string"),
+    ("model_x.json", lambda p: p["feature_schema"].__setitem__(-1, 7),
+     "malformed model file {bad}: feature_schema entry 7 is not a string"),
+    ("predictions.csv", _underscored_row,
+     "{bad}:12: malformed predictions row '1_0,5.0,1_0.5'"),
 ], ids=["heads_list", "assignment_list", "rising_curve", "skipped_k", "stations_list",
         "aggregates_missing", "old_model_params", "centroids_3d", "short_scores",
         "header_only_predictions", "non_utf8_predictions", "non_utf8_config",
         "child_beyond_int32", "label_beyond_int64", "string_no_knee", "fractional_label",
         "string_k", "empty_cluster", "fractional_head_id", "string_member_ids",
         "string_score", "fractional_feature", "fractional_max_depth", "zero_max_depth",
-        "missing_max_depth", "string_delay"])
+        "missing_max_depth", "string_delay", "spaced_station_key", "plus_cluster_key",
+        "numeric_target", "numeric_feature_name", "underscored_prediction"])
 def test_malformed_artifact_exits_2(chain, tmp_path, capsys, name, change, message):
     # Each of these used to end in a traceback or load without complaint.
     # A JSON artifact is changed as a payload, a text file as bytes.

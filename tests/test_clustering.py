@@ -206,13 +206,16 @@ def _clusters_payload(tmp_path):
 
 
 def test_read_clusters_rejects_ids_that_collide_as_integers(tmp_path):
-    # "1" and "01" both load as station 1; build_topology would fail later
-    # without naming the file
+    # "1" and "01" both used to load as station 1, and build_topology failed
+    # later without naming the file; a key not written as str(int) is now
+    # rejected on its own
     path, payload = _clusters_payload(tmp_path)
     payload["assignment"]["01"] = payload["assignment"]["1"]
     path.write_text(json.dumps(payload))
-    with pytest.raises(ClusteringError, match=f"{path}: station ids collide"):
+    with pytest.raises(ClusteringError) as err:
         read_clusters(str(path))
+    assert str(err.value) == (f"malformed clusters file {path}: "
+                              "assignment key '01' is not an id as written")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -237,7 +240,8 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def assignments(draw):
-    ids = sorted(draw(st.sets(st.integers(-10**12, 10**12), min_size=1, max_size=12)))
+    # station ids are non-negative, as read_clusters requires
+    ids = sorted(draw(st.sets(st.integers(0, 10**12), min_size=1, max_size=12)))
     k = draw(st.integers(1, min(6, len(ids))))
     # every cluster 0..k-1 holds a station, as read_clusters requires
     rest = draw(st.lists(st.integers(0, k - 1), min_size=len(ids) - k, max_size=len(ids) - k))
@@ -389,7 +393,7 @@ def test_fixed_k_beyond_the_curve_matches_broadcast_loop():
     pts = oracle_points(np.random.default_rng(3), 200, "blobs", 1.0)
     positions = dict(enumerate(map(tuple, pts.tolist())))
     for k_max, fixed_k in ((4, 4), (4, 7), (1, 2)):
-        new = create_clusters(positions, k_max=k_max, seed=k_max, fixed_k=fixed_k)
+        new = create_clusters(positions, seed=k_max, fixed_k=fixed_k)
         ref = reference.create_clusters(positions, k_max=k_max, seed=k_max,
                                         fixed_k=fixed_k)
         assert len(ref.wcss_curve) == k_max

@@ -6,7 +6,10 @@ import pytest
 
 from fanetsim.config import PipelineConfig, load_config, save_config
 from fanetsim.errors import ConfigError
-from fanetsim.netsim import SimConfig
+from fanetsim.mobility import ArenaConfig
+from fanetsim.netsim import SimConfig, TopologyConfig
+from fanetsim.predictor import BoostParams
+from fanetsim.traffic import TrafficParams
 
 
 def test_defaults_validate():
@@ -182,3 +185,131 @@ def test_stage_seeds_are_distinct_substreams():
     }
     assert len(seeds) == 4
     assert cfg.seed not in seeds
+
+
+# The scenario sheet as save_config writes it for the stock config: every
+# key, its section, its order and its formatting.
+_STOCK_INI = """\
+[pipeline]
+seed = 0
+
+[simulation]
+area_width = 500.0
+area_height = 500.0
+num_nodes = 25
+radio_range = 500.0
+min_speed = 0.0
+max_speed = 15.0
+min_power = 60.0
+max_power = 80.0
+packet_size = 1024.0
+packet_size_sigma = 256.0
+
+[mobility]
+pause_time = 0.0
+sample_interval = 1.0
+duration = 3600.0
+
+[predictor]
+max_depth = 6
+learning_rate = 0.1
+num_rounds = 100
+early_stop_patience = 10
+min_samples_leaf = 2
+history_length = 5
+horizon = 1
+train_fraction = 0.8
+
+[clustering]
+restarts = 10
+fixed_k = 3
+
+[traffic]
+min_size = 256
+max_size = 2048
+mean_interarrival = 0.03
+packets_per_station = 100
+
+[topology]
+link_bitrate = 10000000.0
+backbone_bitrate = 50000000.0
+propagation_speed = 300000000.0
+processing_delay = 0.0001
+queue_capacity = 3
+
+"""
+
+# Every one of the 33 settings away from its default.
+_ALL_CHANGED = PipelineConfig(
+    seed=11,
+    sim=SimConfig(area_width=800.0, area_height=600.0, num_nodes=40, radio_range=350.0,
+                  min_speed=1.5, max_speed=20.0, min_power=55.0, max_power=75.0,
+                  packet_size=900.0, packet_size_sigma=128.0),
+    pause_time=2.0, sample_interval=0.5, duration=120.0,
+    max_depth=4, learning_rate=0.2, num_rounds=50, early_stop_patience=5,
+    min_samples_leaf=3, history_length=4, horizon=2, train_fraction=0.7,
+    restarts=6, fixed_k=None,
+    min_size=128, max_size=4096, mean_interarrival=0.05, packets_per_station=40,
+    link_bitrate=20e6, backbone_bitrate=100e6, propagation_speed=2e8,
+    processing_delay=2e-4, queue_capacity=7)
+
+
+def test_stock_sheet_is_pinned(tmp_path):
+    path = tmp_path / "cfg.ini"
+    save_config(PipelineConfig(), str(path))
+    assert path.read_text() == _STOCK_INI
+    assert load_config(str(path)) == PipelineConfig()
+
+
+def test_every_setting_round_trips(tmp_path):
+    stock = PipelineConfig()
+    settings = [(part, base, f.name) for part, base in ((_ALL_CHANGED, stock),
+                                                        (_ALL_CHANGED.sim, stock.sim))
+                for f in dataclasses.fields(part) if f.name != "sim"]
+    assert len(settings) == 33
+    for part, base, name in settings:
+        assert getattr(part, name) != getattr(base, name), name
+    path = tmp_path / "cfg.ini"
+    save_config(_ALL_CHANGED, str(path))
+    assert load_config(str(path)) == _ALL_CHANGED
+
+
+@pytest.mark.parametrize("cfg,arena,boost,traffic,topology,seeds", [
+    (PipelineConfig(),
+     ArenaConfig(width=500.0, height=500.0, num_stations=25, min_speed=0.0,
+                 max_speed=15.0, pause_time=0.0, sample_interval=1.0, duration=3600.0,
+                 seed=3964924996),
+     BoostParams(max_depth=6, learning_rate=0.1, num_rounds=100, early_stop_patience=10,
+                 min_samples_leaf=2),
+     TrafficParams(mean_size=1024.0, size_sigma=256.0, min_size=256, max_size=2048,
+                   mean_interarrival=0.03, packets_per_station=100, seed=2613022947),
+     TopologyConfig(mode="decentralized", clustering=False, link_bitrate=10e6,
+                    backbone_bitrate=50e6, propagation_speed=3e8, processing_delay=1e-4,
+                    queue_capacity=3, radio_range=500.0),
+     (1874364848, 3141116543)),
+    (_ALL_CHANGED,
+     ArenaConfig(width=800.0, height=600.0, num_stations=40, min_speed=1.5,
+                 max_speed=20.0, pause_time=2.0, sample_interval=0.5, duration=120.0,
+                 seed=592467769),
+     BoostParams(max_depth=4, learning_rate=0.2, num_rounds=50, early_stop_patience=5,
+                 min_samples_leaf=3),
+     TrafficParams(mean_size=900.0, size_sigma=128.0, min_size=128, max_size=4096,
+                   mean_interarrival=0.05, packets_per_station=40, seed=520846937),
+     TopologyConfig(mode="decentralized", clustering=False, link_bitrate=20e6,
+                    backbone_bitrate=100e6, propagation_speed=2e8, processing_delay=2e-4,
+                    queue_capacity=7, radio_range=350.0),
+     (961975133, 621272063)),
+], ids=["stock", "all_changed"])
+def test_stage_builders_match_literal_stages(cfg, arena, boost, traffic, topology, seeds):
+    assert cfg.arena_config() == arena
+    assert cfg.boost_params() == boost
+    assert cfg.traffic_params() == traffic
+    assert cfg.topology_config("decentralized", False) == topology
+    assert (cfg.cluster_seed(), cfg.radio_seed()) == seeds
+
+
+def test_config_is_checked_on_construction():
+    with pytest.raises(ConfigError, match="restarts must be >= 1, got 0"):
+        PipelineConfig(restarts=0)
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        PipelineConfig().with_seed(-1)

@@ -398,13 +398,16 @@ def test_read_heads_rejects_non_json(tmp_path):
 
 
 def test_read_heads_rejects_colliding_cluster_keys(tmp_path):
-    # "1" and "01" used to merge into cluster 1, the last entry winning
+    # "1" and "01" used to merge into cluster 1, the last entry winning; a
+    # key not written as str(int) is now rejected on its own
     entry = {"head_id": 5, "member_ids": [5], "scores": [0.0]}
     path = tmp_path / "heads.json"
     path.write_text(json.dumps({"clusters": {"1": dict(entry, head_id=4, member_ids=[4]),
                                              "01": entry}}))
-    with pytest.raises(SelectionError, match=f"heads file {path}: cluster keys collide"):
+    with pytest.raises(SelectionError) as err:
         read_heads(str(path))
+    assert str(err.value) == (f"malformed heads file {path}: "
+                              "clusters key '01' is not an id as written")
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -414,7 +417,8 @@ _head_entry = st.lists(st.integers(0, 10**9), min_size=1, max_size=6, unique=Tru
 
 
 @settings(max_examples=60, deadline=None)
-@given(entries=st.dictionaries(st.integers(-10**4, 10**4), _head_entry, max_size=5))
+# cluster keys are non-negative, as read_heads requires
+@given(entries=st.dictionaries(st.integers(0, 10**4), _head_entry, max_size=5))
 def test_heads_roundtrip_property(tmp_path_factory, entries):
     selection = HeadSelection({c: ClusterHead(c, head, ids, scores)
                                for c, (ids, head, scores) in entries.items()})

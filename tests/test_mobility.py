@@ -322,9 +322,11 @@ def test_read_trace_rejects_out_of_arena(tmp_path):
     # numpy 1.23 and 1.24 read "3.0" into an int column with only a
     # DeprecationWarning; int() rejects it
     (H + "0,3.0,1,2\n", ("{path}:2: invalid literal for int() with base 10: '3.0'", 2)),
-    # float() and int() take underscores, loadtxt does not
-    (H + "0,0,1_000,2\n", Trace([0.0], [0], [[[1000.0, 2.0]]])),
-    (H + "0,1_0,1,2\n", Trace([0.0], [10], [[[1.0, 2.0]]])),
+    # float() and int() take underscores and non-ASCII digits, loadtxt does
+    # not; the line parser used to load the first two as 1000.0 and station 10
+    (H + "0,0,1_000,2\n", ("{path}:2: cells must be ASCII without '_': '0,0,1_000,2'", 2)),
+    (H + "0,1_0,1,2\n", ("{path}:2: cells must be ASCII without '_': '0,1_0,1,2'", 2)),
+    (H + "0,\u0661,1,2\n", ("{path}:2: cells must be ASCII without '_': '0,\u0661,1,2'", 2)),
     # the line parser skips a whitespace-only line, loadtxt does not
     (H + "0,0,1,2\n   \n1,0,3,4\n", Trace([0.0, 1.0], [0], [[[1.0, 2.0], [3.0, 4.0]]])),
 ])
