@@ -176,6 +176,10 @@ def load_config(path: str) -> PipelineConfig:
                 problems.append(f"unrecognized key {key!r} in section [{section}]")
                 continue
             try:
+                # int and float also read "2_56" and non-ASCII digits,
+                # which save_config never writes.
+                if not raw.isascii() or "_" in raw:
+                    raise ValueError(raw)
                 values[section][key] = _PARSERS[_ANNOTATIONS[key]](raw)
             except ValueError:
                 problems.append(f"bad value for {key!r} in section [{section}]: {raw!r}")

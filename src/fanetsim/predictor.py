@@ -5,9 +5,12 @@ Self-contained implementation: squared-error loss, histogram split finding
 residual histograms with sibling subtraction, as in XGBoost's `hist` method
 and LightGBM), midpoint thresholds between neighbouring training values,
 mean-residual leaves, shrinkage, and early stopping on a held-back
-chronological validation slice; every tree fits all rows and features. Two
-independent models (one per coordinate) share one feature layout: the last
-h positions plus the finite-difference velocity at the newest lag.
+chronological validation slice; every tree fits all rows and all of its
+model's columns. A dataset row holds one window layout: the last h positions
+plus the finite-difference velocity at the newest lag. Each of the two
+independent models (one per coordinate) fits only its own coordinate's h + 1
+columns and names them in its `feature_schema`; prediction picks them out of
+window rows by name.
 
 `train` fits each model to the displacement from the newest lagged position
 (persistence) rather than to the position itself, so boosting starts from a
@@ -78,12 +81,23 @@ class FeatureWindow:
         names.append("vy_lag1")
         return names
 
+    def coordinate_names(self, target: str) -> list[str]:
+        """The columns a model of `target` fits on: its own lags, newest
+        first, and its velocity."""
+        return [f"{target}_lag{lag}" for lag in range(1, self.history_length + 1)] + [
+            f"v{target}_lag1"]
 
-def _newest_lag(target: str) -> tuple[str, int]:
-    """Name and column of the newest lagged `target` coordinate, the
-    persistence forecast; x_lag1 and y_lag1 lead every window's layout."""
-    name = f"{target}_lag1"
-    return name, FeatureWindow(history_length=1).feature_names().index(name)
+
+def _window_columns(width: int, names: list[str]) -> list[int]:
+    """Where `names` sit in window rows `width` wide, found by name in the
+    layout of the window that width implies."""
+    h = width // 2 - 1
+    layout = FeatureWindow(history_length=h).feature_names() if h >= 1 else []
+    missing = [name for name in names if name not in layout]
+    if len(layout) != width or missing:
+        raise PredictionError(
+            f"feature rows {width} wide are not a window layout holding {missing or names}")
+    return [layout.index(name) for name in names]
 
 
 @dataclass
@@ -448,26 +462,37 @@ def train_matrix(X: np.ndarray, y: np.ndarray, params: BoostParams,
 
 
 def train(dataset: Dataset, params: BoostParams, target: str = "x") -> BoostedModel:
-    """Fit the displacement `target - <target>_lag1`; the model adds it back."""
+    """Fit the displacement `target - <target>_lag1` on the target's own
+    columns; the model adds the newest lag back."""
     if target not in ("x", "y"):
         raise TrainingError(f"target must be 'x' or 'y', got {target!r}")
     y_all = dataset.target_x if target == "x" else dataset.target_y
-    offset, col = _newest_lag(target)
+    names = dataset.window.coordinate_names(target)
+    cols = _window_columns(dataset.X.shape[1], names)
+    offset = names.index(f"{target}_lag1")
     eval_set = None
     if dataset.val_idx.size:
-        X_val = dataset.X[dataset.val_idx]
-        eval_set = (X_val, y_all[dataset.val_idx] - X_val[:, col])
-    X_fit = dataset.X[dataset.fit_idx]
+        X_val = dataset.X[np.ix_(dataset.val_idx, cols)]
+        eval_set = (X_val, y_all[dataset.val_idx] - X_val[:, offset])
+    X_fit = dataset.X[np.ix_(dataset.fit_idx, cols)]
     model = train_matrix(
-        X_fit, y_all[dataset.fit_idx] - X_fit[:, col], params,
-        feature_schema=dataset.feature_names, eval_set=eval_set,
-        target=target, window=dataset.window)
-    model.offset_feature = offset
+        X_fit, y_all[dataset.fit_idx] - X_fit[:, offset], params,
+        feature_schema=names, eval_set=eval_set, target=target, window=dataset.window)
+    model.offset_feature = names[offset]
     return model
 
 
+def _predict_rows(model: BoostedModel, X: np.ndarray) -> np.ndarray:
+    """The model on window rows X: a model with a window reads its schema's
+    columns by name, one without reads X as it is."""
+    if model.window is not None:
+        X = X[:, _window_columns(X.shape[1], model.feature_schema)]
+    return model.predict(X)
+
+
 def evaluate_rmse(model: BoostedModel, X: np.ndarray, y: np.ndarray):
-    """RMSE of the model and of the persistence baseline on the same rows.
+    """RMSE of the model and of the persistence baseline on the same
+    window rows.
 
     Persistence predicts the newest lagged position of the model's target.
     """
@@ -475,9 +500,9 @@ def evaluate_rmse(model: BoostedModel, X: np.ndarray, y: np.ndarray):
     y = np.asarray(y, dtype=float)
     if X.shape[0] == 0:
         raise PredictionError("empty evaluation split")
-    pred = model.predict(X)
+    pred = _predict_rows(model, X)
     rmse = float(np.sqrt(np.mean((y - pred) ** 2)))
-    persist = X[:, _newest_lag(model.target)[1]]
+    persist = X[:, _window_columns(X.shape[1], [f"{model.target}_lag1"])[0]]
     persist_rmse = float(np.sqrt(np.mean((y - persist) ** 2)))
     return rmse, persist_rmse
 
@@ -508,8 +533,8 @@ def predict_positions(model_x: BoostedModel, model_y: BoostedModel, trace: Trace
     dt = trace.times[1] - trace.times[0]
 
     features = _feature_rows(trace.positions, np.array([t]), h, dt)
-    px = model_x.predict(features).tolist()
-    py = model_y.predict(features).tolist()
+    px = _predict_rows(model_x, features).tolist()
+    py = _predict_rows(model_y, features).tolist()
     return {sid: (min(max(x, 0.0), bounds[0]), min(max(y, 0.0), bounds[1]))
             for sid, x, y in zip(trace.station_ids, px, py)}
 
@@ -561,6 +586,15 @@ def load_model(path: str) -> BoostedModel:
         trees = [RegressionTree(**_typed_tree(t, f"tree {k}"))
                  for k, t in enumerate(raw["trees"])]
         schema = [json_str(s, "feature_schema entry") for s in raw["feature_schema"]]
+        twice = [s for k, s in enumerate(schema) if s in schema[:k]]
+        if twice:
+            raise ValueError(f"feature_schema names {twice[0]!r} twice")
+        if window is not None:
+            layout = window.feature_names()
+            outside = [s for s in schema if s not in layout]
+            if outside:
+                raise ValueError(f"feature_schema entry {outside[0]!r} is not a "
+                                 f"column of the model's window")
         for k, tree in enumerate(trees):
             tree.check(len(schema), f"tree {k}")
         offset = raw["offset_feature"]

@@ -247,8 +247,8 @@ def test_predict_rejects_a_position_model_file_exits_2(chain, tmp_path, capsys):
     ("self_loop", "a child does not come after its parent"),
     ("child_before_parent", "a child does not come after its parent"),
     ("child_out_of_range", "a child does not come after its parent"),
-    ("feature_out_of_range", "feature index outside [0, 12)"),
-    ("negative_feature", "feature index outside [0, 12)"),
+    ("feature_out_of_range", "feature index outside [0, 6)"),
+    ("negative_feature", "feature index outside [0, 6)"),
     ("short_value", "node arrays differ in length or are empty"),
     ("empty_tree", "node arrays differ in length or are empty"),
     ("nan_threshold", "non-finite threshold or value"),
@@ -270,7 +270,7 @@ def test_predict_rejects_malformed_tree_exits_2(chain, tmp_path, capsys, case, m
     elif case == "child_out_of_range":
         tree["right"][last] = len(tree["feature"])
     elif case == "feature_out_of_range":
-        tree["feature"][last] = 12
+        tree["feature"][last] = len(raw["feature_schema"])
     elif case == "negative_feature":
         tree["feature"][-1] = -2
     elif case == "short_value":
@@ -610,6 +610,11 @@ def _string_delay(payload):
      "malformed model file {bad}: target 5 is not a string"),
     ("model_x.json", lambda p: p["feature_schema"].__setitem__(-1, 7),
      "malformed model file {bad}: feature_schema entry 7 is not a string"),
+    ("model_x.json", lambda p: p["feature_schema"].__setitem__(-1, "x_lag9"),
+     "malformed model file {bad}: feature_schema entry 'x_lag9' is not a column "
+     "of the model's window"),
+    ("model_x.json", lambda p: p["feature_schema"].__setitem__(-1, "x_lag1"),
+     "malformed model file {bad}: feature_schema names 'x_lag1' twice"),
     ("predictions.csv", _underscored_row,
      "{bad}:12: malformed predictions row '1_0,5.0,1_0.5'"),
 ], ids=["heads_list", "assignment_list", "rising_curve", "skipped_k", "stations_list",
@@ -619,7 +624,8 @@ def _string_delay(payload):
         "string_k", "empty_cluster", "fractional_head_id", "string_member_ids",
         "string_score", "fractional_feature", "fractional_max_depth", "zero_max_depth",
         "missing_max_depth", "string_delay", "spaced_station_key", "plus_cluster_key",
-        "numeric_target", "numeric_feature_name", "underscored_prediction"])
+        "numeric_target", "numeric_feature_name", "schema_name_outside_window",
+        "schema_name_twice", "underscored_prediction"])
 def test_malformed_artifact_exits_2(chain, tmp_path, capsys, name, change, message):
     # Each of these used to end in a traceback or load without complaint.
     # A JSON artifact is changed as a payload, a text file as bytes.

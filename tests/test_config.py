@@ -119,6 +119,21 @@ def test_bad_value_rejected(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("section,key,raw", [
+    ("traffic", "min_size", "2_56"),
+    ("simulation", "num_nodes", "\u0662\u0665"),  # Arabic-Indic 25
+    ("mobility", "duration", "1_0.5"),
+], ids=["underscore_int", "arabic_indic_digits", "underscore_float"])
+def test_value_only_python_reads_rejected(tmp_path, section, key, raw):
+    # Python's int and float take "_" and non-ASCII digits; save_config
+    # writes neither, so the reader takes neither.
+    path = tmp_path / "cfg.ini"
+    path.write_text(f"[{section}]\n{key} = {raw}\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert str(err.value) == f"{path}: bad value for {key!r} in section [{section}]: {raw!r}"
+
+
 @pytest.mark.parametrize("section,key,raw,message", [
     ("pipeline", "seed", "-1", "seed must be >= 0, got -1"),
     ("simulation", "num_nodes", "0", "num_nodes must be >= 1, got 0"),

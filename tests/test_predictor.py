@@ -26,6 +26,7 @@ from fanetsim import (
     train_matrix,
 )
 from fanetsim import predictor
+from fanetsim.config import PipelineConfig
 from fanetsim.predictor import (
     MAX_BINS,
     MIN_SPLIT_GAIN,
@@ -53,6 +54,11 @@ def walk_tree(tree, row):
         else:
             node = tree.right[node]
     return tree.value[node]
+
+
+def own_columns(ds, model):
+    """The dataset columns a model trained on it reads, picked by schema name."""
+    return ds.X[:, [ds.feature_names.index(n) for n in model.feature_schema]]
 
 
 def exact_greedy_tree(X, g, max_depth, min_samples_leaf):
@@ -279,19 +285,22 @@ def test_train_on_dataset_beats_persistence():
 @pytest.mark.parametrize("target", ["x", "y"])
 def test_train_fits_the_persistence_residual(target):
     # train is train_matrix on `target - <target>_lag1` over the same fit and
-    # validation rows, with that column added back after the trees.
+    # validation rows and the target's own columns only, with that column
+    # added back after the trees.
     trace = simulate_random_waypoint(ArenaConfig(num_stations=4, duration=200.0, seed=6))
     ds = build_dataset(trace, h=3)
     params = BoostParams(num_rounds=25)
     model = train(ds, params, target=target)
 
-    col = ds.feature_names.index(f"{target}_lag1")
+    names = [f"{target}_lag1", f"{target}_lag2", f"{target}_lag3", f"v{target}_lag1"]
+    assert model.feature_schema == names
+    X = ds.X[:, [ds.feature_names.index(n) for n in names]]
     y_all = ds.target_x if target == "x" else ds.target_y
     fit, val = ds.fit_idx, ds.val_idx
     assert val.size
-    oracle = train_matrix(ds.X[fit], y_all[fit] - ds.X[fit, col], params,
-                          feature_schema=ds.feature_names,
-                          eval_set=(ds.X[val], y_all[val] - ds.X[val, col]),
+    oracle = train_matrix(X[fit], y_all[fit] - X[fit, 0], params,
+                          feature_schema=names,
+                          eval_set=(X[val], y_all[val] - X[val, 0]),
                           target=target, window=ds.window)
     assert oracle.offset_feature is None and model.offset_feature == f"{target}_lag1"
     assert model.base_prediction == oracle.base_prediction
@@ -300,7 +309,10 @@ def test_train_fits_the_persistence_residual(target):
         for f in dataclasses.fields(got):
             np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name))
     assert (model.train_rmse, model.val_rmse) == (oracle.train_rmse, oracle.val_rmse)
-    np.testing.assert_array_equal(model.predict(ds.X), oracle.predict(ds.X) + ds.X[:, col])
+    np.testing.assert_array_equal(model.predict(X), oracle.predict(X) + X[:, 0])
+    # evaluate_rmse takes window rows; the model's own columns are not one
+    with pytest.raises(PredictionError, match="not a window layout holding"):
+        evaluate_rmse(model, X, y_all)
 
 
 @pytest.mark.parametrize("horizon", [1, 4])
@@ -318,7 +330,7 @@ def test_constant_velocity_displacement_is_exact(horizon):
         y = (ds.target_x, ds.target_y)[k][ds.test_idx]
         rmse, persist = evaluate_rmse(model, ds.X[ds.test_idx], y)
         assert persist == pytest.approx(abs(v[k]) * dt * (horizon + 1), rel=1e-9)
-        np.testing.assert_allclose(model.predict(ds.X[ds.test_idx]), y,
+        np.testing.assert_allclose(model.predict(own_columns(ds, model)[ds.test_idx]), y,
                                    rtol=0, atol=1e-9)
         assert rmse < 1e-9
 
@@ -341,6 +353,41 @@ def test_displacement_models_beat_position_models():
                                     eval_set=(ds.X[val], y_all[val]), target=target)
             ours.append(evaluate_rmse(model, X_test, y_all[ds.test_idx])[0])
             theirs.append(evaluate_rmse(position, X_test, y_all[ds.test_idx])[0])
+    assert np.mean(ours) <= np.mean(theirs)
+
+
+def twelve_column_model(ds, params, target):
+    """train's displacement model over every window column: train_matrix on
+    the same rows and stopping, offset by the newest lag."""
+    y = ds.target_x if target == "x" else ds.target_y
+    col = ds.feature_names.index(f"{target}_lag1")
+    fit, val = ds.fit_idx, ds.val_idx
+    model = train_matrix(ds.X[fit], y[fit] - ds.X[fit, col], params,
+                         feature_schema=ds.feature_names,
+                         eval_set=(ds.X[val], y[val] - ds.X[val, col]),
+                         target=target, window=ds.window)
+    model.offset_feature = f"{target}_lag1"
+    return model
+
+
+def test_own_coordinate_models_beat_twelve_column_models():
+    # The 12-column formulation stays as the oracle, at stock size: on the
+    # stock config, seed 1, the models that read only their own coordinate
+    # hold a mean held-out RMSE not above it. Small traces (5 stations,
+    # 300 s) go either way from seed to seed, so they would hide a loss.
+    cfg = PipelineConfig().with_seed(1)
+    ds = build_dataset(simulate_random_waypoint(cfg.arena_config()),
+                       h=cfg.history_length, horizon=cfg.horizon,
+                       train_fraction=cfg.train_fraction)
+    params = cfg.boost_params()
+    X_test = ds.X[ds.test_idx]
+    ours, theirs = [], []
+    for target, y_all in (("x", ds.target_x), ("y", ds.target_y)):
+        model = train(ds, params, target=target)
+        assert len(model.feature_schema) == cfg.history_length + 1
+        oracle = twelve_column_model(ds, params, target)
+        ours.append(evaluate_rmse(model, X_test, y_all[ds.test_idx])[0])
+        theirs.append(evaluate_rmse(oracle, X_test, y_all[ds.test_idx])[0])
     assert np.mean(ours) <= np.mean(theirs)
 
 
@@ -386,7 +433,8 @@ def test_model_roundtrip(tmp_path):
     path = tmp_path / "model.json"
     save_model(model, str(path))
     back = load_model(str(path))
-    np.testing.assert_array_equal(model.predict(ds.X), back.predict(ds.X))
+    X = own_columns(ds, model)
+    np.testing.assert_array_equal(model.predict(X), back.predict(X))
     assert back.target == "y"
     assert back.window == ds.window
     assert back.params == model.params
@@ -434,6 +482,51 @@ def test_load_model_rejects_a_missing_or_unknown_offset_feature(tmp_path):
     back = load_model(str(path))
     assert back.offset_feature is None
     np.testing.assert_array_equal(back.predict(ds.X), bare.predict(ds.X))
+
+
+@pytest.mark.parametrize("schema_change, message", [
+    (lambda names: names.__setitem__(-1, "x_lag9"),
+     "feature_schema entry 'x_lag9' is not a column of the model's window"),
+    (lambda names: names.__setitem__(-1, "x_lag1"), "feature_schema names 'x_lag1' twice"),
+], ids=["outside_window", "named_twice"])
+def test_load_model_checks_schema_names(tmp_path, schema_change, message):
+    # Prediction picks a model's columns out of window rows by name, so a
+    # name the window lacks, or one named twice, must stop at load time
+    # rather than end in a bare ValueError there.
+    ds = build_dataset(simulate_random_waypoint(
+        ArenaConfig(num_stations=3, duration=60.0, seed=4)), h=2)
+    path = tmp_path / "model.json"
+    save_model(train(ds, BoostParams(num_rounds=3), target="x"), str(path))
+    raw = json.loads(path.read_text())
+    assert raw["feature_schema"] == ["x_lag1", "x_lag2", "vx_lag1"]
+    schema_change(raw["feature_schema"])
+    path.write_text(json.dumps(raw))
+    with pytest.raises(PredictionError, match=f"malformed model file {path}: {message}"):
+        load_model(str(path))
+
+
+def test_a_twelve_column_model_file_still_predicts(tmp_path):
+    # A model file that names every window column, as each model did before
+    # it read only its own coordinate, still loads and predicts: its trees on
+    # the full window rows plus the newest lag, clamped to the arena.
+    arena = ArenaConfig(num_stations=4, duration=120.0, seed=2)
+    trace = simulate_random_waypoint(arena)
+    ds = build_dataset(trace)
+    models = {}
+    for target in "xy":
+        save_model(twelve_column_model(ds, BoostParams(num_rounds=8), target),
+                   str(tmp_path / f"model_{target}.json"))
+        models[target] = load_model(str(tmp_path / f"model_{target}.json"))
+        assert models[target].feature_schema == ds.feature_names
+    bounds = (arena.width, arena.height)
+    got = predict_positions(models["x"], models["y"], trace, bounds)
+
+    t = trace.num_samples - 1 - ds.window.horizon
+    full = _feature_rows(trace.positions, np.array([t]), 5, trace.times[1] - trace.times[0])
+    trees = {c: dataclasses.replace(models[c], offset_feature=None).predict(full)
+             + full[:, ds.feature_names.index(f"{c}_lag1")] for c in "xy"}
+    assert got == {sid: (min(max(float(x), 0.0), bounds[0]), min(max(float(y), 0.0), bounds[1]))
+                   for sid, x, y in zip(trace.station_ids, trees["x"], trees["y"])}
 
 
 def test_load_model_rejects_non_json(tmp_path):
@@ -553,7 +646,8 @@ def test_predict_positions_batch_equals_per_row_path(tmp_path):
     per_row = {}
     for sid in trace.station_ids:
         row = _feature_rows(trace.positions[sid], np.array([t]), 3, dt)
-        px, py = float(mx.predict(row)[0]), float(my.predict(row)[0])
+        px = float(mx.predict(row[:, [0, 2, 4, 6]])[0])
+        py = float(my.predict(row[:, [1, 3, 5, 7]])[0])
         per_row[sid] = (min(max(px, 0.0), bounds[0]), min(max(py, 0.0), bounds[1]))
     assert batched == per_row
     write_predictions(batched, str(tmp_path / "a.csv"))
@@ -586,7 +680,8 @@ def test_saved_model_keeps_tree_dtypes(tmp_path):
     for got, want in zip(back.trees, model.trees):
         for f in dataclasses.fields(got):
             np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name))
-    np.testing.assert_array_equal(back.predict(ds.X), model.predict(ds.X))
+    X = own_columns(ds, model)
+    np.testing.assert_array_equal(back.predict(X), model.predict(X))
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
